@@ -1,16 +1,16 @@
 """Execution experience: training data from successes, records of failures.
 
-Rows keep the raw sensed values; every membership query quantizes both sides
-onto the attribute grid, so a stored 23.4 answers a query for 23.0. Nearest
+Rows keep the raw sensed values; membership queries compare both sides on the
+attribute grid, so a stored 23.4 answers a query for 23.0. Nearest
 neighbour works on the raw values and breaks exact ties toward the column
 median (the interior of the success region).
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
-import statistics
 from dataclasses import dataclass
 
 from .kb import AttributeSchema
@@ -48,12 +48,24 @@ class FailureRecord:
 
 
 class TrainingData:
-    """Multiset of successful execution vectors, plus the failure log."""
+    """Multiset of successful execution vectors, plus the failure log.
+
+    ``rows`` is the source of truth. ``add_success`` also files each row
+    under the quantized value of every attribute, so queries read one bucket
+    instead of the whole history; sorted columns are cached until the next
+    write.
+    """
 
     def __init__(self, schema: AttributeSchema):
         self.schema = schema
         self.rows: list[AttributeVector] = []
         self.failures: list[FailureRecord] = []
+        # per attribute: quantized value -> rows in that bucket, in insertion order
+        self._buckets: list[dict[float, list[AttributeVector]]] = [{} for _ in schema.attributes]
+        # per attribute: quantized value -> distinct quantized vectors in that bucket
+        self._qvectors: list[dict[float, set[tuple[float, ...]]]] = [{} for _ in schema.attributes]
+        # (attr, bucket_by, quantized bucket) -> sorted raw values
+        self._sorted: dict[tuple[int, int | None, float | None], list[float]] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -65,7 +77,12 @@ class TrainingData:
             raise ExperienceError(
                 f"vector arity {len(vector.values)} does not match schema arity {len(self.schema)}"
             )
+        qvec = self.schema.quantize_vector(vector.values)
         self.rows.append(vector)
+        for buckets, qvectors, q in zip(self._buckets, self._qvectors, qvec):
+            buckets.setdefault(q, []).append(vector)
+            qvectors.setdefault(q, set()).add(qvec)
+        self._sorted.clear()
 
     def add_failure(self, record: FailureRecord) -> None:
         if record.vector.outcome != FAILURE:
@@ -76,40 +93,56 @@ class TrainingData:
 
     # -- queries ------------------------------------------------------------
 
+    def _bucket(self, bucket_by: int | None, bucket_value: float | None) -> float | None:
+        return None if bucket_by is None else self.schema.quantize(bucket_by, bucket_value)
+
+    def _rows_in(self, bucket_by: int | None, bucket: float | None) -> list[AttributeVector]:
+        if bucket_by is None:
+            return self.rows
+        return self._buckets[bucket_by - 1].get(bucket, [])
+
+    def _sorted_column(self, attr: int, bucket_by: int | None, bucket_value: float | None) -> list[float]:
+        bucket = self._bucket(bucket_by, bucket_value)
+        key = (attr, bucket_by, bucket)
+        view = self._sorted.get(key)
+        if view is None:
+            view = sorted(row.values[attr - 1] for row in self._rows_in(bucket_by, bucket))
+            self._sorted[key] = view
+        return view
+
     def column(self, attr: int, bucket_by: int | None = None, bucket_value: float | None = None) -> list[float]:
         """Raw values of one attribute, optionally restricted to a master bucket."""
-        if bucket_by is None:
-            return [row.values[attr - 1] for row in self.rows]
-        want = self.schema.quantize(bucket_by, bucket_value)
-        return [
-            row.values[attr - 1]
-            for row in self.rows
-            if self.schema.quantize(bucket_by, row.values[bucket_by - 1]) == want
-        ]
+        rows = self._rows_in(bucket_by, self._bucket(bucket_by, bucket_value))
+        return [row.values[attr - 1] for row in rows]
 
     def contains_value(self, attr: int, value: float) -> bool:
-        want = self.schema.quantize(attr, value)
-        for row in self.rows:
-            if self.schema.quantize(attr, row.values[attr - 1]) == want:
-                return True
-        return False
+        return self.schema.quantize(attr, value) in self._buckets[attr - 1]
 
-    def contains_joint(self, attrs: list[int], values: list[float], bucket_by: int | None = None) -> bool:
-        """True iff one single row matches every queried attribute after quantization.
-
-        bucket_by names the master attribute; matching is exact on its bucket
-        and membership on the others within that bucket, which under grid
-        quantization is the same row-wise test.
-        """
+    def contains_joint(self, attrs: list[int], values: list[float]) -> bool:
+        """True iff one single row matches every queried attribute after quantization."""
         if len(attrs) != len(values):
             raise ExperienceError("attrs and values length mismatch")
-        if bucket_by is not None and bucket_by not in attrs:
-            raise ExperienceError("bucket_by must be one of the queried attributes")
-        wants = [self.schema.quantize(a, v) for a, v in zip(attrs, values)]
-        for row in self.rows:
-            if all(self.schema.quantize(a, row.values[a - 1]) == w for a, w in zip(attrs, wants)):
-                return True
-        return False
+        wants = [(a - 1, self.schema.quantize(a, v)) for a, v in zip(attrs, values)]
+        first, want = wants[0]
+        return any(
+            all(qvec[i] == w for i, w in wants)
+            for qvec in self._qvectors[first].get(want, ())
+        )
+
+    def quantized_range(
+        self,
+        attr: int,
+        bucket_by: int | None = None,
+        bucket_value: float | None = None,
+    ) -> tuple[float, float] | None:
+        """(min, max) of the quantized column, or None if it is empty.
+
+        Exact from the raw extremes because quantization is monotone.
+        """
+        view = self._sorted_column(attr, bucket_by, bucket_value)
+        if not view:
+            return None
+        return self.schema.quantize(attr, view[0]), self.schema.quantize(attr, view[-1])
 
     def nearest_neighbor(
         self,
@@ -119,16 +152,26 @@ class TrainingData:
         bucket_value: float | None = None,
     ) -> float:
         """Stored value minimising |stored - value|; ties resolve toward the median."""
-        col = self.column(attr, bucket_by, bucket_value)
-        if not col:
+        view = self._sorted_column(attr, bucket_by, bucket_value)
+        if not view:
             raise EmptyColumnError(f"no stored values for attribute {attr}")
-        best = min(abs(v - value) for v in col)
-        candidates = sorted({v for v in col if abs(v - value) == best})
+        # |v - value| is monotone on each side of value, so every closest
+        # value sits in one run around the insertion point.
+        hi = bisect.bisect_left(view, value)
+        lo = hi - 1
+        best = min(abs(view[i] - value) for i in (lo, hi) if 0 <= i < len(view))
+        while lo >= 0 and abs(view[lo] - value) == best:
+            lo -= 1
+        while hi < len(view) and abs(view[hi] - value) == best:
+            hi += 1
+        candidates: list[float] = []
+        for v in view[lo + 1 : hi]:
+            if not candidates or v != candidates[-1]:
+                candidates.append(v)
         if len(candidates) == 1:
             return candidates[0]
-        median = statistics.median(col)
-        if median < value:
-            return candidates[0]
+        n = len(view)
+        median = view[n // 2] if n % 2 else (view[n // 2 - 1] + view[n // 2]) / 2
         if median > value:
             return candidates[-1]
         return candidates[0]

@@ -99,16 +99,19 @@ class AttributeSchema:
 
     def quantize(self, index: int, value: float) -> float:
         """Round half-up onto the attribute grid."""
-        q = self.spec(index).quantization
-        return math.floor(value / q + 0.5) * q
+        return _snap(value, self.spec(index).quantization)
 
     def quantize_vector(self, values: tuple[float, ...]) -> tuple[float, ...]:
         if len(values) != len(self.attributes):
             raise KnowledgeBaseError(f"expected {len(self.attributes)} values, got {len(values)}")
-        return tuple(self.quantize(i, v) for i, v in enumerate(values, start=1))
+        return tuple([_snap(v, spec.quantization) for v, spec in zip(values, self.attributes)])
 
     def eta(self, index: int) -> float:
         return self.spec(index).eta
+
+
+def _snap(value: float, q: float) -> float:
+    return math.floor(value / q + 0.5) * q
 
 
 # ── Relationships ─────────────────────────────────────────────────────────
@@ -168,6 +171,7 @@ class KnowledgeBase:
     def __init__(self, initial: dict[str, float] | None = None):
         self._entries: dict[tuple[str, float | None], KBEntry] = {}
         self._relationships: list[Relationship] = []
+        self._digest: str | None = None  # snapshot_hash, cleared by every write
         if initial:
             for fluent, value in initial.items():
                 self.load_initial(fluent, value)
@@ -176,6 +180,7 @@ class KnowledgeBase:
 
     def load_initial(self, fluent: str, value: float, stamp: int = 0) -> None:
         """Set the engineered (confirmed) base value, resetting any history."""
+        self._digest = None
         self._entries[(fluent, None)] = KBEntry(
             fluent, None, [HistoryRecord(float(value), CONFIRMED, stamp)]
         )
@@ -224,6 +229,7 @@ class KnowledgeBase:
         return entry.last_confirmed()
 
     def entries(self) -> list[KBEntry]:
+        """Entries in canonical order; read-only, writes go through the methods below."""
         return [self._entries[k] for k in sorted(self._entries, key=_entry_sort_key)]
 
     def temporaries(self) -> list[KBEntry]:
@@ -244,6 +250,7 @@ class KnowledgeBase:
                 raise UnknownFluentError(f"unknown fluent {fluent!r}")
             entry = KBEntry(fluent, condition, [])
             self._entries[key] = entry
+        self._digest = None
         if entry.history and entry.history[-1].status == TEMPORARY:
             entry.history[-1] = HistoryRecord(float(value), TEMPORARY, stamp)
         else:
@@ -258,6 +265,7 @@ class KnowledgeBase:
             return
         top = entry.history[-1]
         entry.history[-1] = HistoryRecord(top.value, CONFIRMED, top.stamp)
+        self._digest = None
 
     def revert_to_confirmed(self, fluent: str, condition: float | None = None) -> None:
         key = (fluent, condition)
@@ -266,6 +274,7 @@ class KnowledgeBase:
             if condition is not None:
                 return  # nothing learned for this bucket, nothing to revert
             raise UnknownFluentError(f"unknown fluent {fluent!r}")
+        self._digest = None
         if entry.history and entry.history[-1].status == TEMPORARY:
             entry.history.pop()
         if not entry.history:
@@ -281,7 +290,10 @@ class KnowledgeBase:
         return "\n".join(lines)
 
     def snapshot_hash(self) -> str:
-        return hashlib.sha256(self.effective_dump().encode()).hexdigest()[:12]
+        """SHA-256 prefix of effective_dump, recomputed only after a write."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.effective_dump().encode()).hexdigest()[:12]
+        return self._digest
 
     def save(self, fluents_path: str, relationships_path: str | None = None) -> None:
         with open(fluents_path, "w", newline="") as fh:

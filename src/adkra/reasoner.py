@@ -145,7 +145,7 @@ def detect_collective_anomalies(
         sv = values[slave - 1]
         if not td.contains_value(master, mv) or not td.contains_value(slave, sv):
             continue
-        if td.contains_joint([master, slave], [mv, sv], bucket_by=master):
+        if td.contains_joint([master, slave], [mv, sv]):
             continue
         bucket = td.schema.quantize(master, mv)
         slave_name = td.schema.spec(slave).name
@@ -228,13 +228,11 @@ def refine(
     bound on the side the outlier violated. Collective outliers always target
     the bucketed bound keyed by the master's value.
     """
-    schema = td.schema
-    spec = schema.spec(out.index)
-    col = td.column(out.index, out.bucket_by, out.bucket)
-    if not col:
+    spec = td.schema.spec(out.index)
+    qrange = td.quantized_range(out.index, out.bucket_by, out.bucket)
+    if qrange is None:
         return Refinement(NO_OP)
-    qcol = [schema.quantize(out.index, v) for v in col]
-    qmin, qmax = min(qcol), max(qcol)
+    qmin, qmax = qrange
 
     condition = None
     if out.kind == COLLECTIVE:

@@ -1,9 +1,12 @@
+import os
 import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import adkra
 from adkra.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from adkra.pddl import parse_domain
 
@@ -141,3 +144,15 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("(define (domain nao)")
+
+
+def test_python_dash_m_runs_the_cli():
+    # Put the imported package's parent first, so this also runs from a source
+    # checkout with nothing installed.
+    root = str(pathlib.Path(adkra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adkra", "--help"], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: adkra")

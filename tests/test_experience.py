@@ -68,14 +68,12 @@ def test_contains_value_matches_bruteforce():
 
 def test_contains_joint_needs_one_matching_row():
     td = _store([(18.0, -10.0), (20.0, -15.0)])
-    assert td.contains_joint([1, 2], [20.0, -15.0], bucket_by=1)
-    assert td.contains_joint([1, 2], [20.3, -15.4], bucket_by=1)
-    assert not td.contains_joint([1, 2], [20.0, -10.0], bucket_by=1)
-    assert not td.contains_joint([1, 2], [18.0, -15.0], bucket_by=1)
+    assert td.contains_joint([1, 2], [20.0, -15.0])
+    assert td.contains_joint([1, 2], [20.3, -15.4])
+    assert not td.contains_joint([1, 2], [20.0, -10.0])
+    assert not td.contains_joint([1, 2], [18.0, -15.0])
     with pytest.raises(ExperienceError, match="length mismatch"):
         td.contains_joint([1], [1.0, 2.0])
-    with pytest.raises(ExperienceError, match="bucket_by"):
-        td.contains_joint([2], [-15.0], bucket_by=1)
 
 
 def test_column_bucket_filter_is_quantized():

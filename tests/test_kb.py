@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import pytest
@@ -182,6 +183,33 @@ def test_snapshot_hash_tracks_effective_content(kb):
     assert kb.snapshot_hash() != before
     kb.revert_to_confirmed(MAXDIS)
     assert kb.snapshot_hash() == before
+
+
+def _fresh_digest(kb):
+    return hashlib.sha256(kb.effective_dump().encode()).hexdigest()[:12]
+
+
+def test_cached_snapshot_hash_follows_every_write(tmp_path, kb):
+    writes = [
+        lambda: kb.apply_temporary(MAXDIS, 26.0, stamp=4),
+        lambda: kb.confirm_top(MAXDIS),
+        lambda: kb.apply_temporary(MAXDIS, 25.0, stamp=9),
+        lambda: kb.apply_temporary(MAXDIS, 24.0, stamp=10),  # replaces the temporary
+        lambda: kb.apply_temporary(MAXHW, -17.0, stamp=11, condition=20.0),
+        lambda: kb.revert_to_confirmed(MAXDIS),
+        lambda: kb.revert_to_confirmed(MAXHW, 20.0),  # deletes the conditional entry
+        lambda: kb.apply_temporary(MAXHW, -16.0, stamp=12, condition=21.0),
+        lambda: kb.confirm_top(MAXHW, 21.0),
+        lambda: kb.load_initial(MAXDIS, 30.0),
+    ]
+    for write in writes:
+        before = kb.snapshot_hash()  # warm the cache so a missed invalidation shows
+        write()
+        assert kb.snapshot_hash() == _fresh_digest(kb) != before
+    path = tmp_path / "kb.csv"
+    kb.save(str(path))
+    loaded = KnowledgeBase.load(str(path))
+    assert loaded.snapshot_hash() == _fresh_digest(loaded) == kb.snapshot_hash()
 
 
 def test_save_load_round_trip(tmp_path, kb):
