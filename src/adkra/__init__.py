@@ -8,7 +8,7 @@ the failure rate decays.
 
 __version__ = "0.1.0"
 
-from .experience import AttributeVector, FailureRecord, TrainingData
+from .experience import AttributeVector, TrainingData
 from .harness import ExperimentConfig, compute_metrics, emit_report, run_experiment
 from .instantiate import instantiate_problem
 from .kb import AttributeSchema, AttributeSpec, KnowledgeBase, Relationship
@@ -29,7 +29,6 @@ __all__ = [
     "AttributeSpec",
     "AttributeVector",
     "ExperimentConfig",
-    "FailureRecord",
     "GroundTruthEnvelope",
     "KnowledgeBase",
     "NoPlanFound",

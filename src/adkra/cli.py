@@ -15,6 +15,7 @@ from .harness import (
     ExperimentConfig,
     HarnessError,
     compute_metrics,
+    confusion_table,
     emit_report,
     format_rate,
     load_scored_events,
@@ -22,7 +23,7 @@ from .harness import (
 )
 from .kb import KnowledgeBaseError
 from .pddl import PddlError, parse_domain, parse_problem, print_domain, print_problem
-from .planner import PlannerError, find_plan, format_plan
+from .planner import DEFAULT_MAX_DEPTH, PlannerError, find_plan, format_plan
 from .world import NoiseModel, WorldError
 
 EXIT_OK = 0
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="find and print a plan")
     p.add_argument("--domain", required=True)
     p.add_argument("--problem", required=True)
-    p.add_argument("--max-depth", type=int, default=10)
+    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("run", help="run one refinement experiment")
@@ -145,7 +146,6 @@ def cmd_run(args) -> int:
     report = run_experiment(cfg)
     emit_report(report, args.out)
 
-    m = report.metrics
     print(f"kind {cfg.kind}  seed {cfg.seed}  adkra {'on' if cfg.adkra_enabled else 'off'}")
     print(f"warmup episodes: {report.warmup_count}")
     print(f"phase 1 failures: {report.phase1_failures} / {cfg.episodes}")
@@ -153,11 +153,7 @@ def cmd_run(args) -> int:
         print(f"phase 2 failures: {report.phase2_failures} / {cfg.episodes}")
     if report.baseline_phase1_failures is not None:
         print(f"baseline phase 1 failures: {report.baseline_phase1_failures} / {cfg.episodes}")
-    print("Obs. TP FN Preci. Accu. FNR TPR")
-    print(
-        f"{m.obs} {m.tp} {m.fn} {format_rate(m.precision)} "
-        f"{format_rate(m.hit_accuracy)} {format_rate(m.fnr)} {format_rate(m.tpr)}"
-    )
+    print("\n".join(confusion_table(report.metrics)))
     print("final bounds:")
     print(report.kb.effective_dump())
     print(f"wrote {args.out}")
@@ -167,11 +163,7 @@ def cmd_run(args) -> int:
 def cmd_metrics(args) -> int:
     events = load_scored_events(os.path.join(args.in_dir, "episodes.csv"))
     m = compute_metrics(events)
-    print("Obs. TP FN Preci. Accu. FNR TPR")
-    print(
-        f"{m.obs} {m.tp} {m.fn} {format_rate(m.precision)} "
-        f"{format_rate(m.hit_accuracy)} {format_rate(m.fnr)} {format_rate(m.tpr)}"
-    )
+    print("\n".join(confusion_table(m)))
     print(f"TP {m.tp}  FP {m.fp}  FN {m.fn}  TN {m.tn}  Obs {m.obs}")
     print(f"TPR {format_rate(m.tpr)}  FNR {format_rate(m.fnr)}")
     print(f"Precision {format_rate(m.precision)}  Accuracy {format_rate(m.accuracy)}")

@@ -1,4 +1,4 @@
-"""Execution experience: training data from successes, records of failures.
+"""Execution experience: training data from successful executions.
 
 Rows keep the raw sensed values; membership queries compare both sides on the
 attribute grid, so a stored 23.4 answers a query for 23.0. Nearest
@@ -41,14 +41,8 @@ class AttributeVector:
                 raise ExperienceError("attribute values must be finite")
 
 
-@dataclass(frozen=True)
-class FailureRecord:
-    vector: AttributeVector
-    attributed_action: str
-
-
 class TrainingData:
-    """Multiset of successful execution vectors, plus the failure log.
+    """Multiset of successful execution vectors.
 
     ``rows`` is the source of truth. ``add_success`` also files each row
     under the quantized value of every attribute, so queries read one bucket
@@ -59,7 +53,6 @@ class TrainingData:
     def __init__(self, schema: AttributeSchema):
         self.schema = schema
         self.rows: list[AttributeVector] = []
-        self.failures: list[FailureRecord] = []
         # per attribute: quantized value -> rows in that bucket, in insertion order
         self._buckets: list[dict[float, list[AttributeVector]]] = [{} for _ in schema.attributes]
         # per attribute: quantized value -> distinct quantized vectors in that bucket
@@ -83,13 +76,6 @@ class TrainingData:
             buckets.setdefault(q, []).append(vector)
             qvectors.setdefault(q, set()).add(qvec)
         self._sorted.clear()
-
-    def add_failure(self, record: FailureRecord) -> None:
-        if record.vector.outcome != FAILURE:
-            raise ExperienceError("failure log only accepts failure vectors")
-        if len(record.vector.values) != len(self.schema):
-            raise ExperienceError("failure vector arity does not match schema")
-        self.failures.append(record)
 
     # -- queries ------------------------------------------------------------
 

@@ -2,15 +2,17 @@
 
 One experiment = inject a fault into the KB, warm the success history up,
 run a scored refinement phase, then re-evaluate the refined KB on a fresh
-derived-seed draw. A counterfactual pass on the same seed with refinement
-switched off fills the "without" column of the failure curve.
+derived-seed draw. A counterfactual pass over the same phase-1 draws with
+refinement switched off fills the "without" column of the failure curve.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -32,6 +34,7 @@ from .world import (
 )
 
 NO_PLAN = "no_plan"
+WINDOW = 10  # episodes per point of the failure curve
 
 EPISODE_FIELDS = [
     "episode",
@@ -63,17 +66,34 @@ class ExperimentConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
     preseed_td: int = 0
     warmup_successes: int = 30
-    window: int = 10
-    max_depth: int = 10
 
     def __post_init__(self) -> None:
         if self.kind not in defaults.EXPERIMENT_KINDS:
             raise HarnessError(f"unknown experiment kind {self.kind!r}")
         if self.episodes < 1:
             raise HarnessError("episodes must be at least 1")
-        for fluent in self.resolved_faults():
+        for name in ("preseed_td", "warmup_successes"):
+            if getattr(self, name) < 0:
+                raise HarnessError(f"{name} must not be negative")
+        for name in ("eta_distance", "eta_angle"):
+            eta = getattr(self, name)
+            if eta is not None and not (math.isfinite(eta) and eta > 0):
+                raise HarnessError(f"{name} must be finite and positive, got {eta}")
+        for name in ("sigma_distance", "sigma_angle"):
+            sigma = getattr(self.noise, name)
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise HarnessError(f"noise {name} must be finite and not negative, got {sigma}")
+        bounds = dict(defaults.INITIAL_KB)
+        for fluent, value in self.resolved_faults().items():
             if fluent not in defaults.INITIAL_KB:
                 raise HarnessError(f"fault targets unknown fluent {fluent!r}")
+            if not math.isfinite(value):
+                raise HarnessError(f"fault {fluent} must be finite, got {value}")
+            bounds[fluent] = value
+        # Equal bounds stay allowed: nothing lies strictly inside, so no plan exists.
+        for lo, hi in ((defaults.MINDIS, defaults.MAXDIS), (defaults.MINHWANGLE, defaults.MAXHWANGLE)):
+            if bounds[lo] > bounds[hi]:
+                raise HarnessError(f"faults leave {lo} = {bounds[lo]} above {hi} = {bounds[hi]}")
 
     def resolved_faults(self) -> dict[str, float]:
         if self.faults is None:
@@ -116,6 +136,15 @@ def _rate(num: int, den: int) -> float | None:
 
 def format_rate(r: float | None) -> str:
     return "n/a" if r is None else f"{100.0 * r:.1f}%"
+
+
+def confusion_table(m: ConfusionCounts) -> list[str]:
+    """Header and row of the confusion summary that metrics.txt and the CLI print."""
+    rates = (m.precision, m.hit_accuracy, m.fnr, m.tpr)
+    return [
+        "Obs. TP FN Preci. Accu. FNR TPR",
+        " ".join([str(m.obs), str(m.tp), str(m.fn)] + [format_rate(r) for r in rates]),
+    ]
 
 
 @dataclass
@@ -205,7 +234,7 @@ def _run_episode(
     )
     problem = instantiate_problem(kb, scenario, domain)
     try:
-        plan = find_plan(domain, problem, cfg.max_depth)
+        plan = find_plan(domain, problem)
     except NoPlanFound:
         return EpisodeRecord(
             episode, phase, scenario, NO_PLAN, frozenset(), None, kb.snapshot_hash()
@@ -213,7 +242,7 @@ def _run_episode(
     fb = execute_plan(plan, scenario, envelope, episode=episode)
     report = None
     if mode == "learn":
-        report = process_feedback(fb, kb, td, schema, episode=episode)
+        report = process_feedback(fb, kb, td, episode=episode)
     elif mode == "record" and fb.outcome == SUCCESS:
         td.add_success(fb.observed)
     return EpisodeRecord(
@@ -258,6 +287,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         warm = _warmup(counter, cfg, rng, kb, td, schema, envelope, domain, "warmup")
         records.extend(warm)
         warmup_count = len(warm)
+    after_warmup = copy.deepcopy(rng)
 
     mode = "learn" if cfg.adkra_enabled else "record"
     phase1: list[EpisodeRecord] = []
@@ -284,9 +314,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     baseline_failures = None
     curve_without = None
     if cfg.adkra_enabled:
-        baseline = _counterfactual_phase1(cfg, schema, envelope, domain)
+        baseline = _counterfactual_phase1(cfg, after_warmup, warmup_count, schema, envelope, domain)
         baseline_failures = sum(1 for r in baseline if r.outcome == FAILURE)
-        curve_without = _windowed(baseline, cfg.window)
+        curve_without = _windowed(baseline)
 
     metrics = compute_metrics(_scored_events(phase1, schema))
     return ExperimentReport(
@@ -297,8 +327,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         phase2_failures=phase2_failures,
         baseline_phase1_failures=baseline_failures,
         metrics=metrics,
-        curve_with=_windowed(phase1, cfg.window) if cfg.adkra_enabled else None,
-        curve_without=curve_without if cfg.adkra_enabled else _windowed(phase1, cfg.window),
+        curve_with=_windowed(phase1) if cfg.adkra_enabled else None,
+        curve_without=curve_without if cfg.adkra_enabled else _windowed(phase1),
         kb_before=kb_before,
         kb=kb,
         td=td,
@@ -307,31 +337,28 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _counterfactual_phase1(cfg, schema, envelope, domain) -> list[EpisodeRecord]:
-    """Same seed, no refinement: the failure curve's comparison column.
+def _counterfactual_phase1(cfg, rng, warmup_count, schema, envelope, domain) -> list[EpisodeRecord]:
+    """Same draws, no refinement: the failure curve's comparison column.
 
-    The warm-up is replayed identically (the KB does not change during it), so
-    the underlying random stream stays aligned with the refined run.
+    ``rng`` is a copy of the generator taken right after the preseed or
+    warm-up, so phase 1 starts from the stream position the refined run had.
+    Nothing else needs replaying: the KB does not change during the warm-up
+    (it runs in ``record`` mode), so a freshly built KB equals it, and
+    ``record`` mode writes the history but never reads it, so an empty one
+    yields the same episodes.
     """
     kb = _build_kb(cfg)
     td = TrainingData(schema)
-    rng = np.random.default_rng(cfg.seed)
-    counter = itertools.count(1)
-    if cfg.preseed_td > 0:
-        _preseed(td, envelope, rng, cfg.preseed_td)
-    else:
-        _warmup(counter, cfg, rng, kb, td, schema, envelope, domain, "warmup")
-    out = []
-    for _ in range(cfg.episodes):
-        out.append(
-            _run_episode(
-                next(counter), "phase1", cfg, rng, kb, td, schema, envelope, domain, "record", "phase1"
-            )
+    counter = itertools.count(warmup_count + 1)
+    return [
+        _run_episode(
+            next(counter), "phase1", cfg, rng, kb, td, schema, envelope, domain, "record", "phase1"
         )
-    return out
+        for _ in range(cfg.episodes)
+    ]
 
 
-def _windowed(records: list[EpisodeRecord], window: int) -> list[float]:
+def _windowed(records: list[EpisodeRecord], window: int = WINDOW) -> list[float]:
     rates = []
     for i in range(0, len(records), window):
         chunk = records[i : i + window]
@@ -469,18 +496,7 @@ def _write_metrics(report: ExperimentReport, path: str) -> None:
         f"phase2_failures: {_opt(report.phase2_failures)}",
         f"baseline_phase1_failures: {_opt(report.baseline_phase1_failures)}",
         "",
-        "Obs. TP FN Preci. Accu. FNR TPR",
-        " ".join(
-            [
-                str(m.obs),
-                str(m.tp),
-                str(m.fn),
-                format_rate(m.precision),
-                format_rate(m.hit_accuracy),
-                format_rate(m.fnr),
-                format_rate(m.tpr),
-            ]
-        ),
+        *confusion_table(m),
         "",
         f"TP {m.tp}  FP {m.fp}  FN {m.fn}  TN {m.tn}  Obs {m.obs}",
         f"TPR {format_rate(m.tpr)}   (TP / (TP+FN))",

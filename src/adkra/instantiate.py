@@ -16,20 +16,13 @@ def default_domain() -> DomainModel:
     return parse_domain(defaults.DOMAIN_TEXT)
 
 
-def instantiate_problem(
-    kb: KnowledgeBase,
-    scenario: Scenario,
-    domain: DomainModel | None = None,
-) -> ProblemInstance:
+def instantiate_problem(kb: KnowledgeBase, scenario: Scenario, domain: DomainModel) -> ProblemInstance:
     """Merge current KB bound values with scenario-sensed readings into a problem.
 
     The KB contributes its effective (temporary or confirmed) bound fluents;
     the scenario contributes the sensed distance for the grip pair, sensed
     head-yaw angle, and map distances for every other waypoint pair.
     """
-    if domain is None:
-        domain = default_domain()
-
     wpnames = sorted(scenario.waypoints)
     objects = tuple(
         [(wp, "waypoint") for wp in wpnames]

@@ -23,8 +23,7 @@ TEMPORARY = "temporary"
 
 INDEPENDENT = "independent"
 SLAVE = "slave"
-CORRELATED = "correlated"
-_REL_KINDS = (INDEPENDENT, SLAVE, CORRELATED)
+_REL_KINDS = (INDEPENDENT, SLAVE)
 
 
 class KnowledgeBaseError(Exception):
@@ -71,8 +70,10 @@ class AttributeSchema:
         for want, spec in enumerate(self.attributes, start=1):
             if spec.index != want:
                 raise KnowledgeBaseError("attribute indices must be contiguous from 1")
-            if spec.quantization <= 0 or spec.eta <= 0:
-                raise KnowledgeBaseError(f"attribute {spec.name}: quantization and eta must be positive")
+            if not all(math.isfinite(v) and v > 0 for v in (spec.quantization, spec.eta)):
+                raise KnowledgeBaseError(
+                    f"attribute {spec.name}: quantization and eta must be finite and positive"
+                )
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -295,25 +296,19 @@ class KnowledgeBase:
             self._digest = hashlib.sha256(self.effective_dump().encode()).hexdigest()[:12]
         return self._digest
 
-    def save(self, fluents_path: str, relationships_path: str | None = None) -> None:
-        with open(fluents_path, "w", newline="") as fh:
+    def save(self, path: str) -> None:
+        with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["fluent", "condition_bucket", "value", "status", "stamp"])
             for e in self.entries():
                 cond = "" if e.condition is None else _fmt(e.condition)
                 for rec in e.history:
                     w.writerow([e.fluent, cond, _fmt(rec.value), rec.status, rec.stamp])
-        if relationships_path is not None:
-            with open(relationships_path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["attribute", "kind", "master"])
-                for r in self._relationships:
-                    w.writerow([r.attribute, r.kind, "" if r.master is None else r.master])
 
     @classmethod
-    def load(cls, fluents_path: str, relationships_path: str | None = None) -> "KnowledgeBase":
+    def load(cls, path: str) -> "KnowledgeBase":
         kb = cls()
-        with open(fluents_path, newline="") as fh:
+        with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for lineno, row in enumerate(reader, start=2):
                 try:
@@ -323,18 +318,12 @@ class KnowledgeBase:
                     status = row["status"]
                     stamp = int(row["stamp"])
                 except (KeyError, TypeError, ValueError) as exc:
-                    raise KnowledgeBaseError(f"{fluents_path}: bad row at line {lineno}: {exc}") from None
+                    raise KnowledgeBaseError(f"{path}: bad row at line {lineno}: {exc}") from None
                 if status not in (CONFIRMED, TEMPORARY):
-                    raise KnowledgeBaseError(f"{fluents_path}: bad status {status!r} at line {lineno}")
+                    raise KnowledgeBaseError(f"{path}: bad status {status!r} at line {lineno}")
                 key = (fluent, cond)
                 entry = kb._entries.setdefault(key, KBEntry(fluent, cond, []))
                 entry.history.append(HistoryRecord(value, status, stamp))
-        if relationships_path is not None:
-            with open(relationships_path, newline="") as fh:
-                reader = csv.DictReader(fh)
-                for row in reader:
-                    master = int(row["master"]) if row["master"] else None
-                    kb.register_relationship(Relationship(int(row["attribute"]), row["kind"], master))
         return kb
 
 
@@ -344,6 +333,7 @@ def _entry_sort_key(key: tuple[str, float | None]) -> tuple[str, int, float]:
 
 
 def _fmt(v: float) -> str:
-    if v == int(v):
+    # -0.0 keeps its sign: "0" would load back as 0.0, which dumps differently
+    if v == int(v) and repr(v) != "-0.0":
         return str(int(v))
     return repr(v)

@@ -155,15 +155,6 @@ class ProblemInstance:
     init_fluents: dict[Atom, float] = field(default_factory=dict)
     goal: tuple[Atom, ...] = ()
 
-    def objects_of_type(self, typ: str) -> list[str]:
-        return [n for n, t in self.objects if t == typ]
-
-
-@dataclass
-class State:
-    facts: frozenset[Atom]
-    fluents: dict[Atom, float]
-
 
 # ── Tokenizer ─────────────────────────────────────────────────────────────
 
@@ -743,33 +734,6 @@ def iter_bindings(params: tuple[tuple[str, str], ...], objects: tuple[tuple[str,
 
 def ground_atom(atom: Atom, binding: dict[str, str]) -> Atom:
     return Atom(atom.name, tuple(binding.get(a, a) for a in atom.args))
-
-
-# ── Evaluation ────────────────────────────────────────────────────────────
-
-
-def evaluate_precondition(state: State, pre: Precondition) -> bool:
-    """Evaluate a ground precondition: literal membership plus comparisons.
-
-    Missing literals make the result false; an unassigned fluent is an error,
-    not a false.
-    """
-    for atom in pre.atoms:
-        if atom not in state.facts:
-            return False
-    for c in pre.comparisons:
-        lhs = _fluent_value(state, c.lhs)
-        rhs = _fluent_value(state, c.rhs)
-        if not COMPARISON_OPS[c.op](lhs, rhs):
-            return False
-    return True
-
-
-def _fluent_value(state: State, term: Atom) -> float:
-    try:
-        return state.fluents[term]
-    except KeyError:
-        raise EvaluationError(f"unresolvable fluent: {term.render()}") from None
 
 
 def apply_effect(facts: frozenset[Atom], eff: Effect) -> frozenset[Atom]:

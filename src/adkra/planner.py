@@ -56,7 +56,6 @@ class GroundAction:
 @dataclass(frozen=True)
 class Plan:
     steps: tuple[GroundAction, ...]
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -124,7 +123,7 @@ def find_plan(
     start = problem.init_facts
 
     if goal <= start:
-        return Plan((), problem.name)
+        return Plan(())
 
     seen = {start}
     queue: deque[tuple[frozenset[Atom], tuple[GroundAction, ...]]] = deque([(start, ())])
@@ -140,7 +139,7 @@ def find_plan(
                 continue
             steps = path + (ga,)
             if goal <= nxt:
-                return Plan(steps, problem.name)
+                return Plan(steps)
             seen.add(nxt)
             queue.append((nxt, steps))
     raise NoPlanFound(f"no plan within depth {max_depth} for problem {problem.name!r}")
@@ -190,8 +189,3 @@ def format_plan(plan: Plan) -> str:
     for i, ga in enumerate(plan.steps):
         lines.append(f"{i * 0.001:.3f}: {ga.name} [0.001]")
     return "\n".join(lines) + "\n"
-
-
-def format_plan_lines(plan: Plan) -> str:
-    """Machine-readable form: one ground action per line, no timing."""
-    return "".join(ga.name + "\n" for ga in plan.steps)

@@ -14,14 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .experience import (
-    FAILURE,
-    SUCCESS,
-    AttributeVector,
-    EmptyColumnError,
-    FailureRecord,
-    TrainingData,
-)
+from .experience import FAILURE, SUCCESS, EmptyColumnError, TrainingData
 from .kb import SLAVE, AttributeSchema, KnowledgeBase
 
 log = logging.getLogger(__name__)
@@ -93,7 +86,6 @@ class StepReport:
 
     episode: int
     outcome: str
-    phase: str = ""
     anomalies: list[Anomaly] = field(default_factory=list)
     outlier: Outlier | None = None
     nn: float | None = None
@@ -111,9 +103,8 @@ def _num(v: float) -> str:
 # ── Detection ─────────────────────────────────────────────────────────────
 
 
-def detect_point_anomalies(fd: FailureRecord, td: TrainingData) -> list[Anomaly]:
-    """Attribute values never seen in any successful execution."""
-    values = fd.vector.values
+def detect_point_anomalies(values: tuple[float, ...], td: TrainingData) -> list[Anomaly]:
+    """Attribute values of a quantized failure vector never seen in any success."""
     if len(values) != len(td.schema):
         raise ReasonerError(
             f"failure vector has {len(values)} attributes, schema has {len(td.schema)}"
@@ -127,15 +118,15 @@ def detect_point_anomalies(fd: FailureRecord, td: TrainingData) -> list[Anomaly]
 
 
 def detect_collective_anomalies(
-    fd: FailureRecord, td: TrainingData, relationships
+    values: tuple[float, ...], td: TrainingData, relationships
 ) -> list[Anomaly]:
-    """Value combinations never seen together although each value is known.
+    """Value combinations of a quantized failure vector never seen together
+    although each value is known.
 
     Runs over the registered master/slave pairs only; the anomaly lands on the
     slave attribute (the one the refinement will touch), tagged with the
     master's quantized bucket.
     """
-    values = fd.vector.values
     found = []
     for rel in relationships:
         if rel.kind != SLAVE:
@@ -265,12 +256,11 @@ def process_feedback(
     fb,
     kb: KnowledgeBase,
     td: TrainingData,
-    schema: AttributeSchema | None = None,
     *,
     episode: int = 0,
 ) -> StepReport:
     """Fold one execution feedback into the stores and report what happened."""
-    schema = schema or td.schema
+    schema = td.schema
 
     if fb.outcome == SUCCESS:
         td.add_success(fb.observed)
@@ -279,12 +269,9 @@ def process_feedback(
         return report
 
     qvec = schema.quantize_vector(fb.observed.values)
-    fd = FailureRecord(AttributeVector(qvec, FAILURE, episode), attributed_action="grip")
-    td.add_failure(fd)
-
-    anomalies = detect_point_anomalies(fd, td)
+    anomalies = detect_point_anomalies(qvec, td)
     if not anomalies:
-        anomalies = detect_collective_anomalies(fd, td, kb.relationships)
+        anomalies = detect_collective_anomalies(qvec, td, kb.relationships)
     report = StepReport(episode, FAILURE, anomalies=anomalies)
 
     outlier = select_outlier(anomalies, kb.relationships)

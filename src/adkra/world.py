@@ -134,14 +134,6 @@ def generate_scenario(
 
     sensed_d = sense(true_d, noise.sigma_distance, rng)
     sensed_a = sense(true_a, noise.sigma_angle, rng)
-
-    # Geometry realizing the drawn distance: the cup sits at the origin, the
-    # candidate grip waypoint at the drawn distance, the start far away.
-    waypoints = {
-        "wp0": (-50.0, 0.0),
-        "wp1": (0.0, 0.0),
-        "wp2": (true_d, 0.0),
-    }
     return Scenario(
         kind=kind,
         episode=episode,
@@ -151,8 +143,14 @@ def generate_scenario(
         true_angle=true_a,
         sensed_distance=sensed_d,
         sensed_angle=sensed_a,
-        waypoints=waypoints,
+        waypoints=_waypoints(true_d),
     )
+
+
+def _waypoints(true_distance: float) -> dict[str, tuple[float, float]]:
+    """Geometry realizing a distance: the cup sits at the origin, the
+    candidate grip waypoint at that distance, the start far away."""
+    return {"wp0": (-50.0, 0.0), "wp1": (0.0, 0.0), "wp2": (true_distance, 0.0)}
 
 
 # ── Execution ─────────────────────────────────────────────────────────────
@@ -163,7 +161,6 @@ class ExecutionFeedback:
     outcome: str
     observed: AttributeVector
     true_cause: frozenset[int]
-    no_op: bool = False
 
 
 def execute_plan(plan, scenario: Scenario, envelope: GroundTruthEnvelope, episode: int = 0) -> ExecutionFeedback:
@@ -179,7 +176,7 @@ def execute_plan(plan, scenario: Scenario, envelope: GroundTruthEnvelope, episod
             break
     if grip is None:
         observed = AttributeVector((scenario.sensed_distance, scenario.sensed_angle), SUCCESS, episode)
-        return ExecutionFeedback(SUCCESS, observed, frozenset(), no_op=True)
+        return ExecutionFeedback(SUCCESS, observed, frozenset())
 
     wp_robot, wp_cup = grip.args[2], grip.args[3]
     if wp_robot == scenario.grip_waypoint and wp_cup == scenario.cup_waypoint:
@@ -253,11 +250,7 @@ def load_scenarios(path: str) -> list[Scenario]:
                     true_angle=float(row["true_angle"]),
                     sensed_distance=float(row["sensed_distance"]),
                     sensed_angle=float(row["sensed_angle"]),
-                    waypoints={
-                        "wp0": (-50.0, 0.0),
-                        "wp1": (0.0, 0.0),
-                        "wp2": (true_d, 0.0),
-                    },
+                    waypoints=_waypoints(true_d),
                     robot_start=row["robot_start"],
                     cup_waypoint=row["cup_waypoint"],
                     grip_waypoint=row["grip_waypoint"],

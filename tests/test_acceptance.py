@@ -9,7 +9,7 @@ import random
 import time
 
 from adkra import defaults
-from adkra.experience import FAILURE, SUCCESS, AttributeVector, FailureRecord, TrainingData
+from adkra.experience import FAILURE, SUCCESS, AttributeVector, TrainingData
 from adkra.harness import ExperimentConfig, emit_report, run_experiment
 from adkra.kb import KnowledgeBase
 from adkra.pddl import parse_domain, parse_problem, print_domain, print_problem
@@ -85,7 +85,7 @@ def test_point_detection_matches_bruteforce():
         for i, (d, a) in enumerate(rows):
             td.add_success(AttributeVector((d, a), SUCCESS, i))
         probe = (float(rng.randint(5, 35)), float(rng.randint(-35, 5)))
-        fd = FailureRecord(AttributeVector(probe, FAILURE, 0), "grip")
+        fd = probe
         got = {a.index for a in detect_point_anomalies(fd, td)}
         want = set()
         for idx in (1, 2):

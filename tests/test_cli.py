@@ -156,3 +156,29 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: adkra")
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--fault", "maxdis=nan"], "maxdis"),
+        (["--fault", "maxdis=inf"], "maxdis"),
+        (["--fault", "mindis=30"], "mindis"),
+        (["--fault", "maxdis=10"], "maxdis"),
+        (["--fault", "minhwangle=5"], "minhwangle"),
+        (["--eta-distance", "nan"], "eta_distance"),
+        (["--eta-distance", "inf"], "eta_distance"),
+        (["--eta-angle", "0"], "eta_angle"),
+        (["--noise-sigma-distance", "-1"], "sigma_distance"),
+        (["--noise-sigma-angle", "nan"], "sigma_angle"),
+        (["--preseed-td", "-5"], "preseed_td"),
+        (["--warmup-successes", "-3"], "warmup_successes"),
+    ],
+)
+def test_bad_experiment_configuration_is_input_error(flags, field, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code = main(["run", "--kind", "group", "--episodes", "5", *flags, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT, err
+    assert err.startswith("error:") and field in err
+    assert not out_dir.exists()

@@ -9,7 +9,6 @@ from adkra.experience import (
     AttributeVector,
     EmptyColumnError,
     ExperienceError,
-    FailureRecord,
     TrainingData,
 )
 
@@ -40,8 +39,6 @@ def test_add_checks_outcome_and_arity():
         td.add_success(AttributeVector((1.0, 2.0), FAILURE, 0))
     with pytest.raises(ExperienceError, match="arity"):
         td.add_success(AttributeVector((1.0,), SUCCESS, 0))
-    with pytest.raises(ExperienceError, match="only accepts failure"):
-        td.add_failure(FailureRecord(_success(1.0, 2.0), "grip"))
 
 
 def test_contains_value_quantizes_both_sides():
@@ -135,13 +132,11 @@ def test_nearest_neighbor_closest_property():
 
 def test_save_load_round_trip(tmp_path):
     td = _store([(23.4, -10.0), (18.0, -8.5)])
-    td.add_failure(FailureRecord(AttributeVector((24.0, -10.0), FAILURE, 5), "grip"))
     path = tmp_path / "td.csv"
     td.save(str(path))
     loaded = TrainingData.load(str(path), SCHEMA)
     assert [r.values for r in loaded.rows] == [r.values for r in td.rows]
     assert [r.episode for r in loaded.rows] == [0, 1]
-    assert loaded.failures == []  # the failure log is not persisted
 
 
 def test_load_rejects_malformed_files(tmp_path):

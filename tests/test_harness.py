@@ -105,7 +105,7 @@ def test_build_kb_applies_fault_and_relationships():
 
 
 def test_run_experiment_structure():
-    cfg = ExperimentConfig(kind="distance", episodes=20, seed=7, window=10)
+    cfg = ExperimentConfig(kind="distance", episodes=20, seed=7)
     report = run_experiment(cfg)
     assert len(report.records_of("phase1")) == 20
     assert len(report.records_of("phase2")) == 20
@@ -165,6 +165,26 @@ def test_warmup_stall_raises():
     )
     with pytest.raises(HarnessError, match="warm-up stalled"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(kind="distance", seed=7),
+        dict(kind="angle", seed=7),
+        dict(kind="collective", seed=7),
+        dict(kind="group", seed=7),
+        dict(kind="group", seed=3, noise=NoiseModel(1.0, 2.0), preseed_td=300),
+    ],
+    ids=["distance", "angle", "collective", "group", "group-noisy-preseeded"],
+)
+def test_counterfactual_equals_a_run_without_refinement(overrides):
+    # The run without refinement does its own warm-up, so this does not rely
+    # on the generator snapshot the counterfactual starts from.
+    refined = run_experiment(ExperimentConfig(episodes=100, **overrides))
+    static = run_experiment(ExperimentConfig(episodes=100, adkra_enabled=False, **overrides))
+    assert refined.baseline_phase1_failures == static.phase1_failures
+    assert refined.curve_without == static.curve_without
 
 
 def test_runs_are_repeatable_in_process():

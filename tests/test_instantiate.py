@@ -66,5 +66,4 @@ def test_problem_plans_and_executes(domain, kb):
     plan = find_plan(domain, problem)
     assert validate_plan(domain, problem, plan)
     fb = execute_plan(plan, scen, GroundTruthEnvelope())
-    assert not fb.no_op
     assert fb.observed.values == (scen.sensed_distance, scen.sensed_angle)

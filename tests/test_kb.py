@@ -68,6 +68,11 @@ def test_schema_validation():
         AttributeSchema((spec,))
     with pytest.raises(KnowledgeBaseError, match="positive"):
         AttributeSchema((AttributeSpec(1, "x", "cm", 1.0, 0.0),))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(KnowledgeBaseError, match="finite"):
+            AttributeSchema((AttributeSpec(1, "x", "cm", 1.0, bad),))
+        with pytest.raises(KnowledgeBaseError, match="finite"):
+            AttributeSchema((AttributeSpec(1, "x", "cm", bad, 1.0),))
 
 
 def test_by_fluent_resolves_side():
@@ -213,21 +218,17 @@ def test_cached_snapshot_hash_follows_every_write(tmp_path, kb):
 
 
 def test_save_load_round_trip(tmp_path, kb):
-    kb.register_relationship(Relationship(1, INDEPENDENT))
-    kb.register_relationship(Relationship(2, SLAVE, master=1))
     kb.apply_temporary(MAXDIS, 26.0, stamp=4)
     kb.confirm_top(MAXDIS)
     kb.apply_temporary(MAXDIS, 25.0, stamp=9)
     kb.apply_temporary(MAXHW, -17.0, stamp=11, condition=20.0)
 
     fpath = tmp_path / "kb.csv"
-    rpath = tmp_path / "rel.csv"
-    kb.save(str(fpath), str(rpath))
-    loaded = KnowledgeBase.load(str(fpath), str(rpath))
+    kb.save(str(fpath))
+    loaded = KnowledgeBase.load(str(fpath))
 
     assert loaded.effective_dump() == kb.effective_dump()
     assert loaded.snapshot_hash() == kb.snapshot_hash()
-    assert loaded.relationships == kb.relationships
     assert loaded.last_confirmed(MAXDIS) == 26.0
     assert loaded.status(MAXDIS) == TEMPORARY
 

@@ -6,18 +6,14 @@ import pytest
 from adkra.pddl import (
     ActionSchema,
     Atom,
-    Comparison,
     DomainModel,
     Effect,
-    EvaluationError,
     PddlSemanticError,
     PddlSyntaxError,
     Precondition,
     PredicateSchema,
-    State,
     UnsupportedConstructError,
     apply_effect,
-    evaluate_precondition,
     fn_key,
     ground_atom,
     iter_bindings,
@@ -160,25 +156,6 @@ def test_iter_bindings_respects_types(domain, faulty_problem):
     bindings = list(iter_bindings(goto.params, faulty_problem.objects))
     assert len(bindings) == 1 * 5 * 5
     assert all(b["?r"] == "nao" for b in bindings)
-
-
-def test_evaluate_precondition_strict_boundary():
-    pre = Precondition(
-        atoms=(Atom("p", ("a",)),),
-        comparisons=(Comparison("<", Atom("f", ("a",)), Atom("g", ("a",))),),
-    )
-    facts = frozenset({Atom("p", ("a",))})
-    at_bound = State(facts, {Atom("f", ("a",)): 23.0, Atom("g", ("a",)): 23.0})
-    below = State(facts, {Atom("f", ("a",)): 22.9, Atom("g", ("a",)): 23.0})
-    assert not evaluate_precondition(at_bound, pre)
-    assert evaluate_precondition(below, pre)
-    assert not evaluate_precondition(State(frozenset(), below.fluents), pre)
-
-
-def test_evaluate_missing_fluent_is_an_error():
-    pre = Precondition((), (Comparison("<", Atom("f", ("a",)), Atom("g", ("a",))),))
-    with pytest.raises(EvaluationError, match=r"unresolvable fluent: \(f a\)"):
-        evaluate_precondition(State(frozenset(), {Atom("g", ("a",)): 1.0}), pre)
 
 
 def test_apply_effect_delete_then_add():

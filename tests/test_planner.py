@@ -4,13 +4,12 @@ from collections import deque
 
 import pytest
 
-from adkra.pddl import parse_domain, parse_problem
+from adkra.pddl import Atom, EvaluationError, ProblemInstance, parse_domain, parse_problem
 from adkra.planner import (
     NoPlanFound,
     Plan,
     find_plan,
     format_plan,
-    format_plan_lines,
     ground_actions,
     validate_plan,
 )
@@ -54,6 +53,49 @@ def test_numeric_gates_pre_evaluated(domain, faulty):
     assert not actions["(grip nao redcup wp1 wp1 grp)"].numeric_ok  # closer than mindis
 
 
+GATE_DOMAIN = parse_domain(
+    """
+    (define (domain gate)
+      (:requirements :strips :typing :fluents)
+      (:types obj)
+      (:predicates (p ?x - obj) (q ?x - obj))
+      (:functions (f ?x - obj) (g ?x - obj))
+      (:action act
+        :parameters (?x - obj)
+        :precondition (and (p ?x) (< (f ?x) (g ?x)))
+        :effect (and (q ?x))))
+    """
+)
+
+
+def _gate_problem(fluents: dict[str, float]) -> ProblemInstance:
+    # Built directly, not parsed: parse_problem would reject an unassigned fluent.
+    return ProblemInstance(
+        name="g",
+        domain_name="gate",
+        objects=(("a", "obj"),),
+        init_facts=frozenset({Atom("p", ("a",))}),
+        init_fluents={Atom(name, ("a",)): v for name, v in fluents.items()},
+        goal=(Atom("q", ("a",)),),
+    )
+
+
+def test_ground_actions_gate_is_strict_at_the_bound():
+    [at_bound] = ground_actions(GATE_DOMAIN, _gate_problem({"f": 23.0, "g": 23.0}))
+    [below] = ground_actions(GATE_DOMAIN, _gate_problem({"f": 22.9, "g": 23.0}))
+    assert not at_bound.numeric_ok
+    assert below.numeric_ok
+    facts = frozenset({Atom("p", ("a",))})
+    assert below.applicable(facts)
+    assert not below.applicable(frozenset())
+    assert not at_bound.applicable(facts)
+
+
+def test_ground_actions_missing_fluent_is_an_error():
+    with pytest.raises(EvaluationError, match=r"unresolvable fluent: \(f a\)"):
+        ground_actions(GATE_DOMAIN, _gate_problem({"g": 1.0}))
+
+
 def test_plan_on_overstated_reach_uses_far_waypoint(domain, faulty):
     plan = find_plan(domain, faulty)
     assert _names(plan) == ["(goto nao wp0 wp2)", "(grip nao redcup wp2 wp1 grp)"]
@@ -95,7 +137,7 @@ def test_depth_bound_raises(domain, faulty):
 
 def test_validation_reports_missing_precondition(domain, faulty):
     plan = find_plan(domain, faulty)
-    shuffled = Plan(steps=plan.steps[::-1], provenance=plan.provenance)
+    shuffled = Plan(steps=plan.steps[::-1])
     result = validate_plan(domain, faulty, shuffled)
     assert not result.ok
     assert "missing" in result.diagnostic
@@ -118,7 +160,6 @@ def test_format_plan(domain, faulty):
         "0.000: (goto nao wp0 wp2) [0.001]\n"
         "0.001: (grip nao redcup wp2 wp1 grp) [0.001]\n"
     )
-    assert format_plan_lines(plan) == "(goto nao wp0 wp2)\n(grip nao redcup wp2 wp1 grp)\n"
 
 
 WALK_DOMAIN = parse_domain(

@@ -8,7 +8,6 @@ from adkra.experience import (
     FAILURE,
     SUCCESS,
     AttributeVector,
-    FailureRecord,
     TrainingData,
 )
 from adkra.kb import SLAVE, KnowledgeBase, Relationship
@@ -42,8 +41,9 @@ def _td(pairs):
     return td
 
 
-def _failure(d, a, episode=0):
-    return FailureRecord(AttributeVector((float(d), float(a)), FAILURE, episode), "grip")
+def _failure(d, a):
+    """A quantized failure vector, as the detectors receive it."""
+    return (float(d), float(a))
 
 
 def _range_td(lo=15, hi=23, angle=-10.0):
@@ -77,7 +77,7 @@ def test_two_point_anomalies():
 
 
 def test_point_detection_checks_arity():
-    bad = FailureRecord(AttributeVector((24.0,), FAILURE, 0), "grip")
+    bad = (24.0,)
     with pytest.raises(ReasonerError, match="schema has 2"):
         detect_point_anomalies(bad, _range_td())
 
@@ -289,7 +289,7 @@ def test_failure_full_pass_applies_bound(kb):
     assert report.lv.value == 23.0
     assert report.refinement.render() == "applied_temporary:maxdis(grp)"
     assert kb.get_effective_value(MAXDIS) == 23.0
-    assert td.failures[-1].vector.values == (24.0, -10.0)  # stored quantized
+    assert len(td) == 9  # a failure never enters the success history
 
 
 def test_failure_with_full_coverage_is_undetected(kb):

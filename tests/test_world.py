@@ -184,7 +184,7 @@ def test_execute_plan_geometric_distance_for_other_waypoints(envelope):
 def test_execute_plan_without_grip_is_a_noop_success(envelope):
     goto = SimpleNamespace(schema="goto", args=("nao", "wp0", "wp2"))
     fb = execute_plan(_plan(goto), _scenario(24.0, -10.0), envelope)
-    assert fb.outcome == SUCCESS and fb.no_op
+    assert fb.outcome == SUCCESS and fb.true_cause == frozenset()
 
 
 def test_scenario_round_trip(tmp_path, kb):
