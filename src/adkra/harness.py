@@ -215,22 +215,20 @@ def _run_episode(
     rng,
     kb: KnowledgeBase,
     td: TrainingData,
-    schema: AttributeSchema,
     envelope: GroundTruthEnvelope,
     domain,
     mode: str,
-    stream: str,
 ) -> EpisodeRecord:
     """One episode: draw, plan, execute, then learn/record/ignore per mode."""
     scenario = generate_scenario(
         cfg.kind,
         rng,
         kb,
-        schema=schema,
+        schema=td.schema,
         noise=cfg.noise,
         episode=episode,
         seed=cfg.seed,
-        rng_stream=stream,
+        rng_stream=phase,
     )
     problem = instantiate_problem(kb, scenario, domain)
     try:
@@ -250,7 +248,7 @@ def _run_episode(
     )
 
 
-def _warmup(counter, cfg, rng, kb, td, schema, envelope, domain, stream) -> list[EpisodeRecord]:
+def _warmup(counter, cfg, rng, kb, td, envelope, domain) -> list[EpisodeRecord]:
     records: list[EpisodeRecord] = []
     successes = 0
     limit = 200 * cfg.warmup_successes
@@ -259,9 +257,7 @@ def _warmup(counter, cfg, rng, kb, td, schema, envelope, domain, stream) -> list
             raise HarnessError(
                 f"warm-up stalled: {successes} successes after {limit} episodes"
             )
-        rec = _run_episode(
-            next(counter), "warmup", cfg, rng, kb, td, schema, envelope, domain, "record", stream
-        )
+        rec = _run_episode(next(counter), "warmup", cfg, rng, kb, td, envelope, domain, "record")
         records.append(rec)
         if rec.outcome == SUCCESS:
             successes += 1
@@ -284,7 +280,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         _preseed(td, envelope, rng, cfg.preseed_td)
         warmup_count = 0
     else:
-        warm = _warmup(counter, cfg, rng, kb, td, schema, envelope, domain, "warmup")
+        warm = _warmup(counter, cfg, rng, kb, td, envelope, domain)
         records.extend(warm)
         warmup_count = len(warm)
     after_warmup = copy.deepcopy(rng)
@@ -292,9 +288,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     mode = "learn" if cfg.adkra_enabled else "record"
     phase1: list[EpisodeRecord] = []
     for _ in range(cfg.episodes):
-        rec = _run_episode(
-            next(counter), "phase1", cfg, rng, kb, td, schema, envelope, domain, mode, "phase1"
-        )
+        rec = _run_episode(next(counter), "phase1", cfg, rng, kb, td, envelope, domain, mode)
         phase1.append(rec)
     records.extend(phase1)
     phase1_failures = sum(1 for r in phase1 if r.outcome == FAILURE)
@@ -304,9 +298,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         rng2 = np.random.default_rng([cfg.seed, 2])
         phase2: list[EpisodeRecord] = []
         for _ in range(cfg.episodes):
-            rec = _run_episode(
-                next(counter), "phase2", cfg, rng2, kb, td, schema, envelope, domain, "frozen", "phase2"
-            )
+            rec = _run_episode(next(counter), "phase2", cfg, rng2, kb, td, envelope, domain, "frozen")
             phase2.append(rec)
         records.extend(phase2)
         phase2_failures = sum(1 for r in phase2 if r.outcome == FAILURE)
@@ -351,9 +343,7 @@ def _counterfactual_phase1(cfg, rng, warmup_count, schema, envelope, domain) -> 
     td = TrainingData(schema)
     counter = itertools.count(warmup_count + 1)
     return [
-        _run_episode(
-            next(counter), "phase1", cfg, rng, kb, td, schema, envelope, domain, "record", "phase1"
-        )
+        _run_episode(next(counter), "phase1", cfg, rng, kb, td, envelope, domain, "record")
         for _ in range(cfg.episodes)
     ]
 

@@ -99,12 +99,8 @@ class Effect:
 
 @dataclass(frozen=True)
 class PredicateSchema:
-    name: str
-    params: tuple[tuple[str, str], ...]
+    """Declared name and typed parameters of a predicate or a function."""
 
-
-@dataclass(frozen=True)
-class FunctionSchema:
     name: str
     params: tuple[tuple[str, str], ...]
 
@@ -123,7 +119,7 @@ class DomainModel:
     requirements: tuple[str, ...]
     types: tuple[str, ...]
     predicates: tuple[PredicateSchema, ...]
-    functions: tuple[FunctionSchema, ...]
+    functions: tuple[PredicateSchema, ...]
     actions: tuple[ActionSchema, ...]
 
     def predicate(self, name: str) -> PredicateSchema | None:
@@ -132,7 +128,7 @@ class DomainModel:
                 return p
         return None
 
-    def function(self, name: str) -> FunctionSchema | None:
+    def function(self, name: str) -> PredicateSchema | None:
         key = fn_key(name)
         for f in self.functions:
             if fn_key(f.name) == key:
@@ -298,26 +294,51 @@ class _Parser:
             raise PddlSyntaxError("untyped name in typed list (typing is required)", tok.line, tok.col)
         return out
 
-    def atom(self) -> Atom:
-        self.expect("lparen")
-        name = self.expect("id")
+    def literal(self, head: str = "id", ground: bool = False, numbers: str = "") -> Atom:
+        """Read ``name arg* )``, the rest of a literal or function term after its ``(``.
+
+        ``head`` names what a bad name was expected to be. A ground literal
+        takes objects only, no variables. With ``numbers`` set, a numeric
+        argument is an unsupported numeric constant in that construct.
+        """
+        name = self.next()
+        if name.kind != "id":
+            raise PddlSyntaxError(f"expected {head}, found {name.text!r}", name.line, name.col)
+        kinds = ("id",) if ground else ("id", "var")
         args: list[str] = []
         while self.peek().kind != "rparen":
-            tok = self.next()
-            if tok.kind not in ("id", "var"):
-                raise PddlSyntaxError(f"expected argument, found {tok.text!r}", tok.line, tok.col)
-            args.append(tok.text)
+            arg = self.next()
+            if numbers and arg.kind == "number":
+                raise UnsupportedConstructError(f"numeric constant in {numbers}", arg.line)
+            if arg.kind not in kinds:
+                noun = "object" if ground else "argument"
+                raise PddlSyntaxError(f"expected {noun}, found {arg.text!r}", arg.line, arg.col)
+            args.append(arg.text)
         self.expect("rparen")
         return Atom(name.text, tuple(args))
+
+
+def _conjuncts(p: _Parser):
+    """Walk ``(and c*)`` or a lone ``c``.
+
+    Yields the first token inside each conjunct, its ``(`` already read; the
+    caller reads the conjunct through its closing ``)`` before resuming.
+    """
+    p.expect("lparen")
+    if p.peek().kind == "id" and p.peek().text == "and":
+        p.next()
+        while p.peek().kind != "rparen":
+            p.expect("lparen")
+            yield p.peek()
+        p.expect("rparen")
+    else:
+        yield p.peek()
 
 
 def _parse_precondition(p: _Parser) -> Precondition:
     atoms: list[Atom] = []
     comparisons: list[Comparison] = []
-
-    def one() -> None:
-        p.expect("lparen")
-        tok = p.peek()
+    for tok in _conjuncts(p):
         if tok.kind == "op":
             op = p.next().text
             if op == "=":
@@ -329,35 +350,12 @@ def _parse_precondition(p: _Parser) -> Precondition:
             rhs = _function_term(p)
             p.expect("rparen")
             comparisons.append(Comparison(op, lhs, rhs))
-            return
-        if tok.kind == "id" and tok.text == "not":
+        elif tok.kind == "id" and tok.text == "not":
             raise UnsupportedConstructError("negative precondition", tok.line)
-        if tok.kind == "id" and tok.text in ("or", "imply", "forall", "exists", "when"):
+        elif tok.kind == "id" and tok.text in ("or", "imply", "forall", "exists", "when"):
             raise UnsupportedConstructError(tok.text, tok.line)
-        if tok.kind != "id":
-            raise PddlSyntaxError(f"expected predicate, found {tok.text!r}", tok.line, tok.col)
-        name = p.next().text
-        args: list[str] = []
-        while p.peek().kind != "rparen":
-            arg = p.next()
-            if arg.kind == "number":
-                raise UnsupportedConstructError("numeric constant in precondition", arg.line)
-            if arg.kind not in ("id", "var"):
-                raise PddlSyntaxError(f"expected argument, found {arg.text!r}", arg.line, arg.col)
-            args.append(arg.text)
-        p.expect("rparen")
-        atoms.append(Atom(name, tuple(args)))
-
-    p.expect("lparen")
-    if p.peek().kind == "id" and p.peek().text == "and":
-        p.next()
-        while p.peek().kind != "rparen":
-            one()
-        p.expect("rparen")
-    else:
-        # single conjunct without the and-wrapper; rewind and reuse the reader
-        p.pos -= 1
-        one()
+        else:
+            atoms.append(p.literal("predicate", numbers="precondition"))
     return Precondition(tuple(atoms), tuple(comparisons))
 
 
@@ -365,47 +363,35 @@ def _function_term(p: _Parser) -> Atom:
     tok = p.peek()
     if tok.kind == "number":
         raise UnsupportedConstructError("numeric constant in comparison", tok.line)
-    return p.atom()
+    p.expect("lparen")
+    return p.literal()
 
 
 def _parse_effect(p: _Parser) -> Effect:
     adds: list[Atom] = []
     dels: list[Atom] = []
-
-    def one() -> None:
-        p.expect("lparen")
-        tok = p.peek()
+    for tok in _conjuncts(p):
         if tok.kind == "id" and tok.text in ("increase", "decrease", "assign", "scale-up", "scale-down"):
             raise UnsupportedConstructError(f"numeric effect '{tok.text}'", tok.line)
         if tok.kind == "id" and tok.text in ("when", "forall"):
             raise UnsupportedConstructError(tok.text, tok.line)
         if tok.kind == "id" and tok.text == "not":
             p.next()
-            dels.append(p.atom())
+            p.expect("lparen")
+            dels.append(p.literal())
             p.expect("rparen")
-            return
-        if tok.kind != "id":
-            raise PddlSyntaxError(f"expected effect literal, found {tok.text!r}", tok.line, tok.col)
-        name = p.next().text
-        args: list[str] = []
-        while p.peek().kind != "rparen":
-            arg = p.next()
-            if arg.kind not in ("id", "var"):
-                raise PddlSyntaxError(f"expected argument, found {arg.text!r}", arg.line, arg.col)
-            args.append(arg.text)
-        p.expect("rparen")
-        adds.append(Atom(name, tuple(args)))
-
-    p.expect("lparen")
-    if p.peek().kind == "id" and p.peek().text == "and":
-        p.next()
-        while p.peek().kind != "rparen":
-            one()
-        p.expect("rparen")
-    else:
-        p.pos -= 1
-        one()
+        else:
+            adds.append(p.literal("effect literal"))
     return Effect(tuple(adds), tuple(dels))
+
+
+def _parse_goal(p: _Parser) -> tuple[Atom, ...]:
+    atoms: list[Atom] = []
+    for tok in _conjuncts(p):
+        if tok.kind == "op":
+            raise UnsupportedConstructError("comparison in goal", tok.line)
+        atoms.append(p.literal())
+    return tuple(atoms)
 
 
 def parse_domain(text: str) -> DomainModel:
@@ -421,7 +407,7 @@ def parse_domain(text: str) -> DomainModel:
     requirements: tuple[str, ...] = ()
     types: tuple[str, ...] = ()
     predicates: list[PredicateSchema] = []
-    functions: list[FunctionSchema] = []
+    functions: list[PredicateSchema] = []
     actions: list[ActionSchema] = []
 
     while p.peek().kind != "rparen":
@@ -449,21 +435,13 @@ def parse_domain(text: str) -> DomainModel:
                 ts.append(tok.text)
             types = tuple(ts)
             p.expect("rparen")
-        elif section.text == ":predicates":
+        elif section.text in (":predicates", ":functions"):
+            declared = predicates if section.text == ":predicates" else functions
             while p.peek().kind != "rparen":
                 p.expect("lparen")
-                pname = p.expect("id").text
-                params = tuple(p.typed_list("var"))
+                dname = p.expect("id").text
+                declared.append(PredicateSchema(dname, tuple(p.typed_list("var"))))
                 p.expect("rparen")
-                predicates.append(PredicateSchema(pname, params))
-            p.expect("rparen")
-        elif section.text == ":functions":
-            while p.peek().kind != "rparen":
-                p.expect("lparen")
-                fname = p.expect("id").text
-                params = tuple(p.typed_list("var"))
-                p.expect("rparen")
-                functions.append(FunctionSchema(fname, params))
             p.expect("rparen")
         elif section.text == ":action":
             aname = p.expect("id").text
@@ -501,25 +479,17 @@ def parse_domain(text: str) -> DomainModel:
 def _validate_domain(d: DomainModel) -> None:
     if len(set(d.types)) != len(d.types):
         raise PddlSemanticError("duplicate type declaration")
-    seen_preds = set()
-    for ps in d.predicates:
-        if ps.name in seen_preds:
-            raise PddlSemanticError(f"duplicate predicate {ps.name}")
-        seen_preds.add(ps.name)
-        for v, t in ps.params:
-            if t not in d.types:
-                raise PddlSemanticError(f"undeclared type {t} in predicate {ps.name}")
-            del v
-    seen_fns = set()
-    for fs in d.functions:
-        key = fn_key(fs.name)
-        if key in seen_fns:
-            raise PddlSemanticError(f"function name collision under -/_ folding: {fs.name}")
-        seen_fns.add(key)
-        for v, t in fs.params:
-            if t not in d.types:
-                raise PddlSemanticError(f"undeclared type {t} in function {fs.name}")
-            del v
+    # A declaration clashes when looking its name up finds an earlier one.
+    for kind, declared, lookup, clash in (
+        ("predicate", d.predicates, d.predicate, "duplicate predicate"),
+        ("function", d.functions, d.function, "function name collision under -/_ folding:"),
+    ):
+        for sig in declared:
+            if lookup(sig.name) is not sig:
+                raise PddlSemanticError(f"{clash} {sig.name}")
+            for _v, t in sig.params:
+                if t not in d.types:
+                    raise PddlSemanticError(f"undeclared type {t} in {kind} {sig.name}")
     seen_actions = set()
     for a in d.actions:
         if a.name in seen_actions:
@@ -533,37 +503,30 @@ def _validate_domain(d: DomainModel) -> None:
                 raise PddlSemanticError(f"duplicate parameter {v} in action {a.name}")
             declared[v] = t
         for atom in a.precondition.atoms:
-            _check_predicate_use(d, atom, declared, a.name)
+            _check_use(d, atom, "predicate", declared, a.name)
         for cmps in a.precondition.comparisons:
             for side in (cmps.lhs, cmps.rhs):
-                _check_function_use(d, side, declared, a.name)
+                _check_use(d, side, "function", declared, a.name)
         for atom in a.effect.adds + a.effect.dels:
-            _check_predicate_use(d, atom, declared, a.name)
+            _check_use(d, atom, "predicate", declared, a.name)
 
 
-def _check_args(atom: Atom, declared: dict[str, str], where: str) -> None:
+def _signature(d: DomainModel, atom: Atom, kind: str, where: str) -> PredicateSchema:
+    """Look up the declaration ``atom`` applies (``kind`` names which table); check its arity."""
+    sig = d.predicate(atom.name) if kind == "predicate" else d.function(atom.name)
+    if sig is None:
+        raise PddlSemanticError(f"undeclared {kind} {atom.name} in {where}")
+    if len(atom.args) != len(sig.params):
+        what = atom.name if kind == "predicate" else f"function {atom.name}"
+        raise PddlSemanticError(f"arity mismatch for {what} in {where}")
+    return sig
+
+
+def _check_use(d: DomainModel, atom: Atom, kind: str, declared: dict[str, str], where: str) -> None:
+    _signature(d, atom, kind, where)
     for arg in atom.args:
         if arg.startswith("?") and arg not in declared:
             raise PddlSemanticError(f"undeclared variable {arg} in {where}")
-
-
-def _check_predicate_use(d: DomainModel, atom: Atom, declared: dict[str, str], where: str) -> None:
-    ps = d.predicate(atom.name)
-    if ps is None:
-        raise PddlSemanticError(f"undeclared predicate {atom.name} in {where}")
-    if len(atom.args) != len(ps.params):
-        raise PddlSemanticError(f"arity mismatch for {atom.name} in {where}")
-    _check_args(atom, declared, where)
-
-
-def _check_function_use(d: DomainModel, term: Atom, declared: dict[str, str], where: str) -> Atom:
-    fs = d.function(term.name)
-    if fs is None:
-        raise PddlSemanticError(f"undeclared function {term.name} in {where}")
-    if len(term.args) != len(fs.params):
-        raise PddlSemanticError(f"arity mismatch for function {term.name} in {where}")
-    _check_args(term, declared, where)
-    return term
 
 
 def _canonicalise_functions(d: DomainModel) -> DomainModel:
@@ -611,7 +574,8 @@ def parse_problem(text: str, domain: DomainModel) -> ProblemInstance:
                 tok = p.peek()
                 if tok.kind == "op" and tok.text == "=":
                     p.next()
-                    term = p.atom()
+                    p.expect("lparen")
+                    term = p.literal()
                     val = p.next()
                     if val.kind != "number":
                         raise PddlSyntaxError(f"expected number, found {val.text!r}", val.line, val.col)
@@ -624,37 +588,11 @@ def parse_problem(text: str, domain: DomainModel) -> ProblemInstance:
                         raise PddlSemanticError(f"duplicate assignment for {key.render()}")
                     init_fluents[key] = float(val.text)
                 else:
-                    if tok.kind != "id":
-                        raise PddlSyntaxError(f"expected init literal, found {tok.text!r}", tok.line, tok.col)
-                    aname = p.next().text
-                    args = []
-                    while p.peek().kind != "rparen":
-                        arg = p.next()
-                        if arg.kind != "id":
-                            raise PddlSyntaxError(f"expected object, found {arg.text!r}", arg.line, arg.col)
-                        args.append(arg.text)
-                    p.expect("rparen")
-                    init_facts.add(Atom(aname, tuple(args)))
+                    init_facts.add(p.literal("init literal", ground=True))
             p.expect("rparen")
         elif section.text == ":goal":
-            atoms: list[Atom] = []
-            p.expect("lparen")
-            tok = p.peek()
-            if tok.kind == "op":
-                raise UnsupportedConstructError("comparison in goal", tok.line)
-            if tok.kind == "id" and tok.text == "and":
-                p.next()
-                while p.peek().kind != "rparen":
-                    inner = p.peek()
-                    if inner.kind == "lparen" and p.pos + 1 < len(p.tokens) and p.tokens[p.pos + 1].kind == "op":
-                        raise UnsupportedConstructError("comparison in goal", inner.line)
-                    atoms.append(p.atom())
-                p.expect("rparen")
-            else:
-                p.pos -= 1
-                atoms.append(p.atom())
+            goal = _parse_goal(p)
             p.expect("rparen")
-            goal = tuple(atoms)
         else:
             raise UnsupportedConstructError(f"section {section.text}", section.line)
     p.expect("rparen")
@@ -680,33 +618,20 @@ def validate_problem(domain: DomainModel, problem: ProblemInstance) -> None:
             raise PddlSemanticError(f"duplicate object {oname}")
         obj_types[oname] = otype
 
-    def check_ground(atom: Atom, where: str) -> None:
-        ps = domain.predicate(atom.name)
-        if ps is None:
-            raise PddlSemanticError(f"undeclared predicate {atom.name} in {where}")
-        if len(atom.args) != len(ps.params):
-            raise PddlSemanticError(f"arity mismatch for {atom.name} in {where}")
-        for arg, (_, t) in zip(atom.args, ps.params):
+    def check_ground(atom: Atom, kind: str, where: str) -> None:
+        sig = _signature(domain, atom, kind, where)
+        for arg, (_, t) in zip(atom.args, sig.params):
             if arg not in obj_types:
                 raise PddlSemanticError(f"unknown object {arg} in {where}")
             if obj_types[arg] != t:
                 raise PddlSemanticError(f"object {arg} has type {obj_types[arg]}, {atom.name} wants {t}")
 
     for atom in problem.init_facts:
-        check_ground(atom, ":init")
+        check_ground(atom, "predicate", ":init")
     for term in problem.init_fluents:
-        fs = domain.function(term.name)
-        if fs is None:
-            raise PddlSemanticError(f"undeclared function {term.name} in :init")
-        if len(term.args) != len(fs.params):
-            raise PddlSemanticError(f"arity mismatch for function {term.name} in :init")
-        for arg, (_, t) in zip(term.args, fs.params):
-            if arg not in obj_types:
-                raise PddlSemanticError(f"unknown object {arg} in :init")
-            if obj_types[arg] != t:
-                raise PddlSemanticError(f"object {arg} has type {obj_types[arg]}, {term.name} wants {t}")
+        check_ground(term, "function", ":init")
     for atom in problem.goal:
-        check_ground(atom, ":goal")
+        check_ground(atom, "predicate", ":goal")
 
     # Every fluent any grounded precondition can reference must be assigned.
     for action in domain.actions:
@@ -760,18 +685,13 @@ def print_domain(d: DomainModel) -> str:
         out.append("  (:requirements " + " ".join(d.requirements) + ")")
     if d.types:
         out.append("  (:types " + " ".join(d.types) + ")")
-    if d.predicates:
-        out.append("  (:predicates")
-        for ps in d.predicates:
-            inner = f"{ps.name} {_typed_params(ps.params)}".rstrip()
-            out.append(f"    ({inner})")
-        out[-1] += ")"
-    if d.functions:
-        out.append("  (:functions")
-        for fs in d.functions:
-            inner = f"{fs.name} {_typed_params(fs.params)}".rstrip()
-            out.append(f"    ({inner})")
-        out[-1] += ")"
+    for section, declared in ((":predicates", d.predicates), (":functions", d.functions)):
+        if declared:
+            out.append(f"  ({section}")
+            for sig in declared:
+                inner = f"{sig.name} {_typed_params(sig.params)}".rstrip()
+                out.append(f"    ({inner})")
+            out[-1] += ")"
     for a in d.actions:
         out.append(f"  (:action {a.name}")
         out.append(f"    :parameters ({_typed_params(a.params)})")

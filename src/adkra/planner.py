@@ -17,7 +17,6 @@ from .pddl import (
     DomainModel,
     Effect,
     EvaluationError,
-    Precondition,
     ProblemInstance,
     apply_effect,
     ground_atom,
@@ -39,9 +38,10 @@ class NoPlanFound(PlannerError):
 class GroundAction:
     schema: str
     args: tuple[str, ...]
-    precondition: Precondition
+    atoms: tuple[Atom, ...]
+    comparisons: tuple[tuple[str, Atom, Atom], ...]  # ground (op, lhs, rhs)
     effect: Effect
-    numeric_ok: bool
+    numeric_ok: bool  # the comparisons on the fluents of the problem it was grounded for
 
     @property
     def name(self) -> str:
@@ -50,7 +50,7 @@ class GroundAction:
     def applicable(self, facts: frozenset[Atom]) -> bool:
         if not self.numeric_ok:
             return False
-        return all(a in facts for a in self.precondition.atoms)
+        return all(a in facts for a in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,11 @@ def ground_actions(domain: DomainModel, problem: ProblemInstance) -> list[Ground
     for schema in domain.actions:
         for binding in iter_bindings(schema.params, problem.objects):
             atoms = tuple(ground_atom(a, binding) for a in schema.precondition.atoms)
-            comps = [
+            # Kept for validate_plan; a list comprehension is cheaper than a generator.
+            comps = tuple([
                 (c.op, ground_atom(c.lhs, binding), ground_atom(c.rhs, binding))
                 for c in schema.precondition.comparisons
-            ]
+            ])
             adds = tuple(ground_atom(a, binding) for a in schema.effect.adds)
             dels = tuple(ground_atom(a, binding) for a in schema.effect.dels)
             if set(adds) == set(dels):
@@ -96,7 +97,8 @@ def ground_actions(domain: DomainModel, problem: ProblemInstance) -> list[Ground
                 GroundAction(
                     schema=schema.name,
                     args=tuple(binding[p] for p, _t in schema.params),
-                    precondition=Precondition(atoms, ()),
+                    atoms=atoms,
+                    comparisons=comps,
                     effect=Effect(adds, dels),
                     numeric_ok=numeric_ok,
                 )
@@ -146,17 +148,20 @@ def find_plan(
 
 
 def validate_plan(domain: DomainModel, problem: ProblemInstance, plan: Plan) -> ValidationResult:
-    """Replay a plan from Init; report the first failing step if any."""
+    """Replay a plan from Init; report the first failing step if any.
+
+    Each step's ground comparisons are evaluated on ``problem``'s fluents, so
+    a plan found for one problem can be checked against new fluent values.
+    ``domain`` is not read; the steps carry everything the replay needs.
+    """
     facts = problem.init_facts
     for i, ga in enumerate(plan.steps, start=1):
-        for op, lhs, rhs in (
-            (c.op, c.lhs, c.rhs) for c in _schema_comparisons(domain, problem, ga)
-        ):
+        for op, lhs, rhs in ga.comparisons:
             if not COMPARISON_OPS[op](_fluent(problem, lhs), _fluent(problem, rhs)):
                 return ValidationResult(
                     False, f"step {i} {ga.name}: comparison ({op} {lhs.render()} {rhs.render()}) failed"
                 )
-        missing = [a for a in ga.precondition.atoms if a not in facts]
+        missing = [a for a in ga.atoms if a not in facts]
         if missing:
             return ValidationResult(
                 False, f"step {i} {ga.name}: missing {missing[0].render()}"
@@ -166,21 +171,6 @@ def validate_plan(domain: DomainModel, problem: ProblemInstance, plan: Plan) -> 
         unmet = next(a for a in problem.goal if a not in facts)
         return ValidationResult(False, f"goal not satisfied: {unmet.render()}")
     return ValidationResult(True)
-
-
-def _schema_comparisons(domain: DomainModel, problem: ProblemInstance, ga: GroundAction):
-    """Re-ground the numeric gates of a step from its schema.
-
-    GroundActions from ground_actions fold comparisons into numeric_ok; a plan
-    replayed against a different problem (new fluent values) must re-check
-    them, so validation goes back to the schema.
-    """
-    schema = domain.action(ga.schema)
-    if schema is None:
-        raise PlannerError(f"unknown action schema {ga.schema!r}")
-    binding = {p: v for (p, _t), v in zip(schema.params, ga.args)}
-    for c in schema.precondition.comparisons:
-        yield type(c)(c.op, ground_atom(c.lhs, binding), ground_atom(c.rhs, binding))
 
 
 def format_plan(plan: Plan) -> str:

@@ -6,7 +6,7 @@ from adkra.instantiate import default_domain, instantiate_problem
 from adkra.kb import KnowledgeBase
 from adkra.pddl import Atom, parse_problem, print_problem
 from adkra.planner import find_plan, validate_plan
-from adkra.world import GroundTruthEnvelope, execute_plan, generate_scenario
+from adkra.world import GroundTruthEnvelope, NoiseModel, execute_plan, generate_scenario
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +55,29 @@ def test_kb_bounds_use_effective_values(domain, kb):
     assert fl[Atom("maxhwangle", ("nao",))] == 0.0
 
 
-def test_problem_round_trips_through_printer(domain, kb):
-    problem = instantiate_problem(kb, _scenario(kb), domain)
-    assert parse_problem(print_problem(problem), domain) == problem
+@pytest.mark.parametrize(
+    "kind, bucketed, noise",
+    [
+        ("distance", False, NoiseModel()),
+        ("angle", False, NoiseModel()),
+        ("collective", False, NoiseModel()),
+        ("group", False, NoiseModel()),
+        ("collective", True, NoiseModel()),
+        ("group", False, NoiseModel(sigma_distance=1.0, sigma_angle=2.0)),
+    ],
+    ids=["distance", "angle", "collective", "group", "collective-bucketed", "group-noisy"],
+)
+def test_problem_round_trips_through_printer(domain, kb, kind, bucketed, noise):
+    # instantiate_problem does not validate what it builds; parse_problem
+    # does, so this checks every shape the loop hands the planner.
+    if bucketed:
+        bucket = defaults.GRIP_SCHEMA.quantize(defaults.DISTANCE, 20.0)
+        kb.apply_temporary(defaults.MAXHWANGLE, -8.0, stamp=1, condition=bucket)
+    rng = np.random.default_rng(5)
+    for episode in range(10):
+        scen = generate_scenario(kind, rng, kb, noise=noise, episode=episode, seed=5)
+        problem = instantiate_problem(kb, scen, domain)
+        assert parse_problem(print_problem(problem), domain) == problem
 
 
 def test_problem_plans_and_executes(domain, kb):

@@ -8,6 +8,7 @@ from adkra.pddl import (
     Atom,
     DomainModel,
     Effect,
+    PddlError,
     PddlSemanticError,
     PddlSyntaxError,
     Precondition,
@@ -205,3 +206,75 @@ def test_round_trip_on_randomized_domains():
     for _ in range(50):
         model = _random_domain(rng)
         assert parse_domain(print_domain(model)) == model
+
+
+# Every error the readers and checks raise, pinned by class and full text.
+_ERR_DOMAIN = (
+    "(define (domain x) (:types t u) (:predicates {preds}) (:functions {fns})"
+    " (:action a :parameters (?x - t ?y - u) :precondition {pre} :effect {eff}))"
+)
+_ERR_DOMAIN_PARTS = {
+    "preds": "(p ?a - t) (q ?a - t ?b - u)",
+    "fns": "(f ?a - t) (g ?a - t)",
+    "pre": "(and (p ?x) (< (f ?x) (g ?x)))",
+    "eff": "(and (q ?x ?y))",
+}
+_ERR_PROBLEM = "(define (problem pr) (:domain x) (:objects o - t k - u) (:init {init}) (:goal {goal}))"
+_ERR_PROBLEM_PARTS = {"init": "(p o) (= (f o) 1) (= (g o) 2)", "goal": "(and (q o k))"}
+_ERROR_CASES = [
+    ("pre-arg", "domain", {"pre": "(and (p :k))"}, PddlSyntaxError, "line 1, col 172: expected argument, found ':k'"),
+    ("pre-arg-single", "domain", {"pre": "(p :k)"}, PddlSyntaxError, "line 1, col 167: expected argument, found ':k'"),
+    ("pre-head", "domain", {"pre": "(and (?x))"}, PddlSyntaxError, "line 1, col 170: expected predicate, found '?x'"),
+    ("pre-number", "domain", {"pre": "(and (p 5))"}, UnsupportedConstructError, "unsupported construct: numeric constant in precondition (line 1)"),
+    ("cmp-missing", "domain", {"pre": "(and (< (f ?x)))"}, PddlSyntaxError, "line 1, col 178: comparison missing second argument"),
+    ("cmp-number", "domain", {"pre": "(and (< (f ?x) 5))"}, UnsupportedConstructError, "unsupported construct: numeric constant in comparison (line 1)"),
+    ("cmp-arg", "domain", {"pre": "(and (< (f :k) (g ?x)))"}, PddlSyntaxError, "line 1, col 175: expected argument, found ':k'"),
+    ("eff-arg", "domain", {"eff": "(and (p :k))"}, PddlSyntaxError, "line 1, col 211: expected argument, found ':k'"),
+    ("eff-arg-single", "domain", {"eff": "(p :k)"}, PddlSyntaxError, "line 1, col 206: expected argument, found ':k'"),
+    ("eff-head", "domain", {"eff": "(and (5))"}, PddlSyntaxError, "line 1, col 209: expected effect literal, found '5'"),
+    ("eff-not-arg", "domain", {"eff": "(and (not (p :k)))"}, PddlSyntaxError, "line 1, col 216: expected argument, found ':k'"),
+    ("eff-not-head", "domain", {"eff": "(and (not (5)))"}, PddlSyntaxError, "line 1, col 214: expected id, found '5'"),
+    ("pre-undeclared-pred", "domain", {"pre": "(and (r ?x))"}, PddlSemanticError, "undeclared predicate r in a"),
+    ("eff-undeclared-pred", "domain", {"eff": "(and (r ?x))"}, PddlSemanticError, "undeclared predicate r in a"),
+    ("cmp-undeclared-fn", "domain", {"pre": "(and (< (h ?x) (g ?x)))"}, PddlSemanticError, "undeclared function h in a"),
+    ("pre-arity", "domain", {"pre": "(and (p ?x ?y))"}, PddlSemanticError, "arity mismatch for p in a"),
+    ("eff-arity", "domain", {"eff": "(not (q ?x))"}, PddlSemanticError, "arity mismatch for q in a"),
+    ("cmp-arity", "domain", {"pre": "(and (< (f ?x ?y) (g ?x)))"}, PddlSemanticError, "arity mismatch for function f in a"),
+    ("dup-pred", "domain", {"preds": "(p ?a - t) (p ?b - t)"}, PddlSemanticError, "duplicate predicate p"),
+    ("fn-collision", "domain", {"fns": "(f-g ?a - t) (f_g ?a - t)"}, PddlSemanticError, "function name collision under -/_ folding: f_g"),
+    ("pred-type", "domain", {"preds": "(p ?a - v)"}, PddlSemanticError, "undeclared type v in predicate p"),
+    ("fn-type", "domain", {"fns": "(f ?a - v)"}, PddlSemanticError, "undeclared type v in function f"),
+    ("init-arg-var", "problem", {"init": "(p ?x)"}, PddlSyntaxError, "line 1, col 67: expected object, found '?x'"),
+    ("init-arg-number", "problem", {"init": "(p 5)"}, PddlSyntaxError, "line 1, col 67: expected object, found '5'"),
+    ("init-head", "problem", {"init": "(5)"}, PddlSyntaxError, "line 1, col 65: expected init literal, found '5'"),
+    ("init-term-arg", "problem", {"init": "(= (f :k) 1)"}, PddlSyntaxError, "line 1, col 70: expected argument, found ':k'"),
+    ("init-value", "problem", {"init": "(= (f o) x)"}, PddlSyntaxError, "line 1, col 73: expected number, found 'x'"),
+    ("goal-cmp-single", "problem", {"goal": "(< (f o) (g o))"}, UnsupportedConstructError, "unsupported construct: comparison in goal (line 1)"),
+    ("goal-cmp-and", "problem", {"goal": "(and (< (f o) (g o)))"}, UnsupportedConstructError, "unsupported construct: comparison in goal (line 1)"),
+    ("goal-arg", "problem", {"goal": "(and (p :k))"}, PddlSyntaxError, "line 1, col 110: expected argument, found ':k'"),
+    ("goal-head", "problem", {"goal": "(5)"}, PddlSyntaxError, "line 1, col 103: expected id, found '5'"),
+    ("init-undeclared-pred", "problem", {"init": "(r o) (= (f o) 1) (= (g o) 2)"}, PddlSemanticError, "undeclared predicate r in :init"),
+    ("init-undeclared-fn", "problem", {"init": "(= (h o) 1) (= (f o) 1) (= (g o) 2)"}, PddlSemanticError, "undeclared function h in :init"),
+    ("goal-undeclared-pred", "problem", {"goal": "(r o)"}, PddlSemanticError, "undeclared predicate r in :goal"),
+    ("init-arity", "problem", {"init": "(p o o) (= (f o) 1) (= (g o) 2)"}, PddlSemanticError, "arity mismatch for p in :init"),
+    ("init-fn-arity", "problem", {"init": "(= (f o o) 1) (= (g o) 2)"}, PddlSemanticError, "arity mismatch for function f in :init"),
+    ("goal-arity", "problem", {"goal": "(and (q o))"}, PddlSemanticError, "arity mismatch for q in :goal"),
+    ("init-unknown-obj", "problem", {"init": "(p zz) (= (f o) 1) (= (g o) 2)"}, PddlSemanticError, "unknown object zz in :init"),
+    ("init-fn-unknown-obj", "problem", {"init": "(= (f zz) 1) (= (f o) 1) (= (g o) 2)"}, PddlSemanticError, "unknown object zz in :init"),
+    ("goal-unknown-obj", "problem", {"goal": "(q o zz)"}, PddlSemanticError, "unknown object zz in :goal"),
+    ("init-type", "problem", {"init": "(p k) (= (f o) 1) (= (g o) 2)"}, PddlSemanticError, "object k has type u, p wants t"),
+    ("init-fn-type", "problem", {"init": "(= (f k) 1) (= (f o) 1) (= (g o) 2)"}, PddlSemanticError, "object k has type u, f wants t"),
+    ("goal-type", "problem", {"goal": "(q k o)"}, PddlSemanticError, "object k has type u, q wants t"),
+    ("unassigned", "problem", {"init": "(p o) (= (f o) 1)"}, PddlSemanticError, "fluent unassigned: (g o)"),
+]
+
+
+@pytest.mark.parametrize("case, which, parts, exc, message", _ERROR_CASES, ids=[c[0] for c in _ERROR_CASES])
+def test_error_class_and_message_are_pinned(case, which, parts, exc, message):
+    domain_parts = {**_ERR_DOMAIN_PARTS, **parts} if which == "domain" else _ERR_DOMAIN_PARTS
+    problem_parts = {**_ERR_PROBLEM_PARTS, **parts} if which == "problem" else _ERR_PROBLEM_PARTS
+    with pytest.raises(PddlError) as err:
+        domain = parse_domain(_ERR_DOMAIN.format(**domain_parts))
+        parse_problem(_ERR_PROBLEM.format(**problem_parts), domain)
+    assert type(err.value) is exc
+    assert str(err.value) == message
