@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .kb import AttributeSchema
@@ -44,10 +45,10 @@ class AttributeVector:
 class TrainingData:
     """Multiset of successful execution vectors.
 
-    ``rows`` is the source of truth. ``add_success`` also files each row
-    under the quantized value of every attribute, so queries read one bucket
-    instead of the whole history; sorted columns are cached until the next
-    write.
+    ``rows`` is the source of truth. ``extend`` also files each row under the
+    quantized value of every attribute, so queries read one bucket instead of
+    the whole history, and inserts its values into the sorted columns queries
+    have cached, so a write costs no re-sort.
     """
 
     def __init__(self, schema: AttributeSchema):
@@ -64,18 +65,30 @@ class TrainingData:
         return len(self.rows)
 
     def add_success(self, vector: AttributeVector) -> None:
-        if vector.outcome != SUCCESS:
-            raise ExperienceError("training data only accepts success vectors")
-        if len(vector.values) != len(self.schema):
-            raise ExperienceError(
-                f"vector arity {len(vector.values)} does not match schema arity {len(self.schema)}"
-            )
-        qvec = self.schema.quantize_vector(vector.values)
-        self.rows.append(vector)
-        for buckets, qvectors, q in zip(self._buckets, self._qvectors, qvec):
-            buckets.setdefault(q, []).append(vector)
-            qvectors.setdefault(q, set()).add(qvec)
-        self._sorted.clear()
+        self.extend((vector,))
+
+    def extend(self, vectors: Iterable[AttributeVector]) -> None:
+        """File success vectors in order, checking each as it comes.
+
+        A bad vector raises; the vectors before it stay filed.
+        """
+        arity = len(self.schema)
+        for vector in vectors:
+            if vector.outcome != SUCCESS:
+                raise ExperienceError("training data only accepts success vectors")
+            if len(vector.values) != arity:
+                raise ExperienceError(
+                    f"vector arity {len(vector.values)} does not match schema arity {arity}"
+                )
+            qvec = self.schema.quantize_vector(vector.values)
+            self.rows.append(vector)
+            for buckets, qvectors, q in zip(self._buckets, self._qvectors, qvec):
+                buckets.setdefault(q, []).append(vector)
+                qvectors.setdefault(q, set()).add(qvec)
+            # insort_right after equal values keeps the order a stable sort gives
+            for (attr, bucket_by, bucket), view in self._sorted.items():
+                if bucket_by is None or qvec[bucket_by - 1] == bucket:
+                    bisect.insort_right(view, vector.values[attr - 1])
 
     # -- queries ------------------------------------------------------------
 
@@ -168,12 +181,11 @@ class TrainingData:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["episode"] + [s.name for s in self.schema.attributes] + ["outcome"])
-            for row in self.rows:
-                w.writerow([row.episode] + [repr(v) for v in row.values] + [row.outcome])
+            w.writerows([row.episode, *map(repr, row.values), row.outcome] for row in self.rows)
 
     @classmethod
     def load(cls, path: str, schema: AttributeSchema) -> "TrainingData":
-        td = cls(schema)
+        vectors: list[AttributeVector] = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -191,5 +203,7 @@ class TrainingData:
                 outcome = row[-1]
                 if outcome != SUCCESS:
                     raise ExperienceError(f"{path}: non-success outcome at line {lineno}")
-                td.add_success(AttributeVector(values, outcome, episode))
+                vectors.append(AttributeVector(values, outcome, episode))
+        td = cls(schema)
+        td.extend(vectors)
         return td

@@ -201,11 +201,18 @@ def _build_kb(cfg: ExperimentConfig) -> KnowledgeBase:
 
 
 def _preseed(td: TrainingData, envelope: GroundTruthEnvelope, rng, k: int) -> None:
+    """File k true successes: d uniform in the distance window, a uniform above its floor.
+
+    One draw of 2k doubles, d from the even ones and a from the odd ones,
+    computed as ``Generator.uniform`` does (low + (high - low) * u): the
+    values and the generator's final state equal k pairs of scalar draws.
+    """
     lo, hi = envelope.distance_range
-    for _ in range(k):
-        d = float(rng.uniform(lo, hi))
-        a = float(rng.uniform(envelope.angle_bound(d), envelope.angle_clip[1]))
-        td.add_success(AttributeVector((d, a), SUCCESS, 0))
+    u = rng.random(2 * k)
+    d = (lo + (hi - lo) * u[0::2]).tolist()
+    b = np.array([envelope.angle_bound(x) for x in d])
+    a = (b + (envelope.angle_clip[1] - b) * u[1::2]).tolist()
+    td.extend(AttributeVector(pair, SUCCESS, 0) for pair in zip(d, a))
 
 
 def _run_episode(

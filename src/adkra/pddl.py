@@ -635,12 +635,38 @@ def validate_problem(domain: DomainModel, problem: ProblemInstance) -> None:
 
     # Every fluent any grounded precondition can reference must be assigned.
     for action in domain.actions:
-        for binding in iter_bindings(action.params, problem.objects):
-            for c in action.precondition.comparisons:
-                for side in (c.lhs, c.rhs):
-                    term = ground_atom(side, binding)
-                    if term not in problem.init_fluents:
-                        raise PddlSemanticError(f"fluent unassigned: {term.render()}")
+        term = _first_unassigned(action, problem)
+        if term is not None:
+            raise PddlSemanticError(f"fluent unassigned: {term.render()}")
+
+
+def _first_unassigned(action: ActionSchema, problem: ProblemInstance) -> Atom | None:
+    """The first unassigned fluent met over the action's bindings, or None.
+
+    "First" is in the order of ``iter_bindings``, then comparisons, lhs before
+    rhs. A side depends only on its own variables, so each is grounded over
+    their product alone. The earliest full binding at which a side fails
+    gives every other variable its first object; the least such binding,
+    then the least side, is the one the full product meets first.
+    """
+    pools = [[n for n, t in problem.objects if t == typ] for _, typ in action.params]
+    if not all(pools):
+        return None  # no binding at all
+    first: tuple[list[int], int, Atom] | None = None
+    sides = [side for c in action.precondition.comparisons for side in (c.lhs, c.rhs)]
+    for order, side in enumerate(sides):
+        used = [i for i, (v, _) in enumerate(action.params) if v in side.args]
+        for combo in itertools.product(*(range(len(pools[i])) for i in used)):
+            binding = {action.params[i][0]: pools[i][j] for i, j in zip(used, combo)}
+            term = ground_atom(side, binding)
+            if term not in problem.init_fluents:
+                at = [0] * len(pools)
+                for i, j in zip(used, combo):
+                    at[i] = j
+                if first is None or (at, order) < first[:2]:
+                    first = (at, order, term)
+                break
+    return None if first is None else first[2]
 
 
 # ── Grounding helpers ─────────────────────────────────────────────────────

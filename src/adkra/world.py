@@ -8,6 +8,7 @@ carries sensed (possibly noisy) values only.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,15 +40,17 @@ class GroundTruthEnvelope:
     angle_clip: tuple[float, float] = (-25.0, 0.0)
     grid: float = 1.0
 
+    @functools.cached_property
+    def _floor_line(self) -> tuple[float, float, float | None]:
+        """(d0, a0, slope) through the outermost anchors; slope None for one anchor."""
+        anchors = sorted(self.angle_anchors)
+        (d0, a0), (d1, a1) = anchors[0], anchors[-1]
+        return d0, a0, None if len(anchors) == 1 else (a1 - a0) / (d1 - d0)
+
     def angle_bound(self, distance: float) -> float:
         d = math.floor(distance / self.grid + 0.5) * self.grid
-        anchors = sorted(self.angle_anchors)
-        if len(anchors) == 1:
-            raw = anchors[0][1]
-        else:
-            (d0, a0), (d1, a1) = anchors[0], anchors[-1]
-            slope = (a1 - a0) / (d1 - d0)
-            raw = a0 + slope * (d - d0)
+        d0, a0, slope = self._floor_line
+        raw = a0 if slope is None else a0 + slope * (d - d0)
         lo, hi = self.angle_clip
         return min(max(raw, lo), hi)
 

@@ -3,8 +3,9 @@
 Histories live on the 1 cm / 1 deg grid of the grip schema. Values are drawn
 in quarter steps over a narrow range, so rows share buckets and quantization
 hits its half-way points; probes also fall half-way between stored values, so
-nearest-neighbour queries meet exact ties and even-length medians. Writes are interleaved with queries so a sorted column
-cached before a write would show up as a wrong answer after it.
+nearest-neighbour queries meet exact ties and even-length medians. Writes, one
+row or a bulk of 0-5, are interleaved with queries, so a sorted column cached
+before a write and not kept in step with it shows up as a wrong answer.
 """
 
 import math
@@ -26,6 +27,7 @@ PROBE = st.one_of(VALUE, st.integers(-7, 6).map(lambda k: k / 4 + 1 / 8))
 ATTR = st.sampled_from([1, 2])
 BUCKET_BY = st.sampled_from([None, 1, 2])
 ADD = st.tuples(st.just("add"), VALUE, VALUE)
+EXTEND = st.tuples(st.just("extend"), st.lists(st.tuples(VALUE, VALUE), max_size=5))
 ASK = st.tuples(st.just("ask"), ATTR, PROBE, BUCKET_BY, VALUE)
 
 
@@ -104,7 +106,7 @@ def _check(td, rows, attr, value, bucket_by, bucket_value):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(ADD, ASK), min_size=10, max_size=80))
+@given(st.lists(st.one_of(ADD, EXTEND, ASK), min_size=10, max_size=80))
 def test_indexed_queries_match_linear_scan(steps):
     td = TrainingData(SCHEMA)
     rows = []
@@ -112,6 +114,9 @@ def test_indexed_queries_match_linear_scan(steps):
         if step[0] == "add":
             rows.append(step[1:])
             td.add_success(AttributeVector(step[1:], SUCCESS, len(rows)))
+        elif step[0] == "extend":
+            td.extend(AttributeVector(r, SUCCESS, len(rows) + i) for i, r in enumerate(step[1], start=1))
+            rows.extend(step[1])
         else:
             _check(td, rows, *step[1:])
     assert td.rows == [AttributeVector(r, SUCCESS, i) for i, r in enumerate(rows, start=1)]

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from adkra import defaults
+from adkra.experience import TrainingData
 from adkra.harness import (
     EPISODE_FIELDS,
     ConfusionCounts,
@@ -9,6 +11,7 @@ from adkra.harness import (
     _build_kb,
     _build_schema,
     _episode_row,
+    _preseed,
     _scored_events,
     _windowed,
     compute_metrics,
@@ -18,7 +21,7 @@ from adkra.harness import (
     run_experiment,
 )
 from adkra.kb import SLAVE
-from adkra.world import NoiseModel
+from adkra.world import GroundTruthEnvelope, NoiseModel
 
 
 def test_config_validation():
@@ -137,6 +140,36 @@ def test_preseed_skips_warmup():
     assert report.warmup_count == 0
     assert report.records_of("warmup") == []
     assert len(report.td) >= 25
+
+
+def _scalar_preseed(envelope, rng, k):
+    lo, hi = envelope.distance_range
+    rows = []
+    for _ in range(k):
+        d = float(rng.uniform(lo, hi))
+        rows.append((d, float(rng.uniform(envelope.angle_bound(d), envelope.angle_clip[1]))))
+    return rows
+
+
+@pytest.mark.parametrize("k", [0, 1, 300])
+@pytest.mark.parametrize(
+    "anchors",
+    [defaults.FULL_ANCHORS, defaults.FLAT_ANCHORS, ((15.0, -25.0), (20.0, 0.0))],
+    ids=["sloped", "flat", "clips-at-0"],
+)
+def test_bulk_preseed_equals_scalar_draws(anchors, k):
+    envelope = GroundTruthEnvelope(angle_anchors=anchors)
+    bulk_rng, scalar_rng = np.random.default_rng(11), np.random.default_rng(11)
+    td = TrainingData(defaults.GRIP_SCHEMA)
+    _preseed(td, envelope, bulk_rng, k)
+    want = _scalar_preseed(envelope, scalar_rng, k)
+    # float.hex tells every bit apart, the sign of zero included
+    assert [tuple(v.hex() for v in row.values) for row in td.rows] == [
+        tuple(v.hex() for v in row) for row in want
+    ]
+    assert bulk_rng.bit_generator.state == scalar_rng.bit_generator.state
+    if anchors[-1][1] == 0.0 and k == 300:
+        assert any(a == 0.0 for _d, a in want)  # the floor did clip at 0
 
 
 def test_unplannable_fault_yields_no_plan_episodes():

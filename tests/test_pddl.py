@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from adkra.pddl import (
     ActionSchema,
     Atom,
+    Comparison,
     DomainModel,
     Effect,
     PddlError,
@@ -13,6 +15,7 @@ from adkra.pddl import (
     PddlSyntaxError,
     Precondition,
     PredicateSchema,
+    ProblemInstance,
     UnsupportedConstructError,
     apply_effect,
     fn_key,
@@ -22,6 +25,7 @@ from adkra.pddl import (
     parse_problem,
     print_domain,
     print_problem,
+    validate_problem,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -208,6 +212,62 @@ def test_round_trip_on_randomized_domains():
         assert parse_domain(print_domain(model)) == model
 
 
+def _first_unassigned_by_full_grounding(domain, problem):
+    for action in domain.actions:
+        for binding in iter_bindings(action.params, problem.objects):
+            for c in action.precondition.comparisons:
+                for side in (c.lhs, c.rhs):
+                    term = ground_atom(side, binding)
+                    if term not in problem.init_fluents:
+                        return f"fluent unassigned: {term.render()}"
+    return None
+
+
+def test_unassigned_fluent_report_matches_full_grounding():
+    # Sides use some, all or none of the action's variables (and constants),
+    # pools may be empty, and most problems leave several fluents unassigned.
+    rng = random.Random(5)
+    raised = 0
+    for _ in range(400):
+        types = tuple(f"t{i}" for i in range(rng.randint(1, 3)))
+        objects = tuple((f"o{t}{j}", t) for t in types for j in range(rng.randint(0, 3)))
+        functions = tuple(
+            PredicateSchema(f"f{i}", tuple((f"?v{j}", rng.choice(types)) for j in range(rng.randint(0, 2))))
+            for i in range(rng.randint(1, 4))
+        )
+
+        def side_of(params):
+            fs = rng.choice(functions)
+            args = []
+            for _v, t in fs.params:
+                names = [v for v, pt in params if pt == t] + [o for o, ot in objects if ot == t][:1]
+                args.append(rng.choice(names or ["?none"]))
+            return Atom(fs.name, tuple(args))
+
+        actions = []
+        for i in range(rng.randint(1, 2)):
+            params = tuple((f"?a{j}", rng.choice(types)) for j in range(rng.randint(0, 3)))
+            cmps = tuple(Comparison("<", side_of(params), side_of(params)) for _ in range(rng.randint(0, 3)))
+            actions.append(ActionSchema(f"act{i}", params, Precondition((), cmps), Effect((), ())))
+        domain = DomainModel("rnd", (), types, (), functions, tuple(actions))
+        ground = [
+            Atom(fs.name, combo)
+            for fs in functions
+            for combo in itertools.product(*([o for o, ot in objects if ot == t] for _v, t in fs.params))
+        ]
+        keep = rng.choice([0.5, 0.8, 1.0])
+        problem = ProblemInstance("pr", "rnd", objects, frozenset(), {a: 1.0 for a in ground if rng.random() < keep})
+        want = _first_unassigned_by_full_grounding(domain, problem)
+        if want is None:
+            validate_problem(domain, problem)
+        else:
+            raised += 1
+            with pytest.raises(PddlSemanticError) as err:
+                validate_problem(domain, problem)
+            assert str(err.value) == want
+    assert raised > 100
+
+
 # Every error the readers and checks raise, pinned by class and full text.
 _ERR_DOMAIN = (
     "(define (domain x) (:types t u) (:predicates {preds}) (:functions {fns})"
@@ -266,6 +326,7 @@ _ERROR_CASES = [
     ("init-fn-type", "problem", {"init": "(= (f k) 1) (= (f o) 1) (= (g o) 2)"}, PddlSemanticError, "object k has type u, f wants t"),
     ("goal-type", "problem", {"goal": "(q k o)"}, PddlSemanticError, "object k has type u, q wants t"),
     ("unassigned", "problem", {"init": "(p o) (= (f o) 1)"}, PddlSemanticError, "fluent unassigned: (g o)"),
+    ("unassigned-two", "problem", {"init": "(p o)"}, PddlSemanticError, "fluent unassigned: (f o)"),
 ]
 
 
