@@ -72,7 +72,7 @@ class ExperimentConfig:
             raise HarnessError(f"unknown experiment kind {self.kind!r}")
         if self.episodes < 1:
             raise HarnessError("episodes must be at least 1")
-        for name in ("preseed_td", "warmup_successes"):
+        for name in ("seed", "preseed_td", "warmup_successes"):
             if getattr(self, name) < 0:
                 raise HarnessError(f"{name} must not be negative")
         for name in ("eta_distance", "eta_angle"):

@@ -83,12 +83,6 @@ class AttributeSchema:
             raise KnowledgeBaseError(f"no attribute with index {index}")
         return self.attributes[index - 1]
 
-    def by_name(self, name: str) -> AttributeSpec:
-        for spec in self.attributes:
-            if spec.name == name:
-                return spec
-        raise KnowledgeBaseError(f"no attribute named {name}")
-
     def by_fluent(self, fluent: str) -> tuple[AttributeSpec, str] | None:
         """Return (spec, side) for the attribute owning a bound fluent, if any."""
         for spec in self.attributes:

@@ -11,6 +11,7 @@ wins for printing.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -586,7 +587,10 @@ def parse_problem(text: str, domain: DomainModel) -> ProblemInstance:
                     key = Atom(fs.name, term.args)
                     if key in init_fluents:
                         raise PddlSemanticError(f"duplicate assignment for {key.render()}")
-                    init_fluents[key] = float(val.text)
+                    value = float(val.text)
+                    if not math.isfinite(value):
+                        raise PddlSemanticError(f"non-finite value {val.text} for {key.render()} in :init")
+                    init_fluents[key] = value
                 else:
                     init_facts.add(p.literal("init literal", ground=True))
             p.expect("rparen")

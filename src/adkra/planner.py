@@ -1,9 +1,10 @@
 """Grounded breadth-first planner over the supported PDDL subset.
 
 State spaces here are tiny, so the planner grounds every type-correct action
-up front, folds the (static) numeric comparisons into a per-action gate, and
-searches facts-only states breadth-first. Ties break on the ground action
-name, which makes plans deterministic.
+up front. Numeric fluents never change during a plan, so an action whose
+comparisons fail on the problem's fluents is never built. The search runs
+over facts-only states, breadth-first. Ties break on the ground action name,
+which makes plans deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from dataclasses import dataclass
 
 from .pddl import (
     COMPARISON_OPS,
+    ActionSchema,
     Atom,
+    Comparison,
     DomainModel,
     Effect,
     EvaluationError,
@@ -39,17 +42,13 @@ class GroundAction:
     schema: str
     args: tuple[str, ...]
     atoms: tuple[Atom, ...]
-    comparisons: tuple[tuple[str, Atom, Atom], ...]  # ground (op, lhs, rhs)
     effect: Effect
-    numeric_ok: bool  # the comparisons on the fluents of the problem it was grounded for
 
     @property
     def name(self) -> str:
         return f"({' '.join((self.schema,) + self.args)})"
 
     def applicable(self, facts: frozenset[Atom]) -> bool:
-        if not self.numeric_ok:
-            return False
         return all(a in facts for a in self.atoms)
 
 
@@ -71,40 +70,38 @@ class ValidationResult:
 
 
 def ground_actions(domain: DomainModel, problem: ProblemInstance) -> list[GroundAction]:
-    """All type-correct instantiations, numeric gates pre-evaluated.
+    """All type-correct instantiations whose numeric gates hold on ``problem``.
 
     Instantiations whose add and delete lists coincide (self-loop moves) are
-    dropped; they can never change a state.
+    dropped; they can never change a state. So are those with a failing
+    comparison; the fluents never change, so they can never apply.
     """
     out: list[GroundAction] = []
     for schema in domain.actions:
         for binding in iter_bindings(schema.params, problem.objects):
-            atoms = tuple(ground_atom(a, binding) for a in schema.precondition.atoms)
-            # Kept for validate_plan; a list comprehension is cheaper than a generator.
-            comps = tuple([
-                (c.op, ground_atom(c.lhs, binding), ground_atom(c.rhs, binding))
-                for c in schema.precondition.comparisons
-            ])
             adds = tuple(ground_atom(a, binding) for a in schema.effect.adds)
             dels = tuple(ground_atom(a, binding) for a in schema.effect.dels)
-            if set(adds) == set(dels):
+            if set(adds) == set(dels) or _failed_gate(schema, binding, problem) is not None:
                 continue
-            numeric_ok = all(
-                COMPARISON_OPS[op](_fluent(problem, lhs), _fluent(problem, rhs))
-                for op, lhs, rhs in comps
-            )
             out.append(
                 GroundAction(
                     schema=schema.name,
                     args=tuple(binding[p] for p, _t in schema.params),
-                    atoms=atoms,
-                    comparisons=comps,
+                    atoms=tuple(ground_atom(a, binding) for a in schema.precondition.atoms),
                     effect=Effect(adds, dels),
-                    numeric_ok=numeric_ok,
                 )
             )
     out.sort(key=lambda ga: ga.name)
     return out
+
+
+def _failed_gate(schema: ActionSchema, binding: dict[str, str], problem: ProblemInstance) -> Comparison | None:
+    """The first of the schema's comparisons that fails under ``binding``, ground; None if all hold."""
+    for c in schema.precondition.comparisons:
+        lhs, rhs = ground_atom(c.lhs, binding), ground_atom(c.rhs, binding)
+        if not COMPARISON_OPS[c.op](_fluent(problem, lhs), _fluent(problem, rhs)):
+            return Comparison(c.op, lhs, rhs)
+    return None
 
 
 def _fluent(problem: ProblemInstance, term: Atom) -> float:
@@ -150,17 +147,16 @@ def find_plan(
 def validate_plan(domain: DomainModel, problem: ProblemInstance, plan: Plan) -> ValidationResult:
     """Replay a plan from Init; report the first failing step if any.
 
-    Each step's ground comparisons are evaluated on ``problem``'s fluents, so
-    a plan found for one problem can be checked against new fluent values.
-    ``domain`` is not read; the steps carry everything the replay needs.
+    Each step's comparisons come from its schema in ``domain`` and are
+    evaluated on ``problem``'s fluents, so a plan found for one problem can be
+    checked against new fluent values.
     """
     facts = problem.init_facts
     for i, ga in enumerate(plan.steps, start=1):
-        for op, lhs, rhs in ga.comparisons:
-            if not COMPARISON_OPS[op](_fluent(problem, lhs), _fluent(problem, rhs)):
-                return ValidationResult(
-                    False, f"step {i} {ga.name}: comparison ({op} {lhs.render()} {rhs.render()}) failed"
-                )
+        schema = domain.action(ga.schema)
+        failed = _failed_gate(schema, dict(zip([p for p, _t in schema.params], ga.args)), problem)
+        if failed is not None:
+            return ValidationResult(False, f"step {i} {ga.name}: comparison {failed.render()} failed")
         missing = [a for a in ga.atoms if a not in facts]
         if missing:
             return ValidationResult(

@@ -146,14 +146,9 @@ def generate_scenario(
         true_angle=true_a,
         sensed_distance=sensed_d,
         sensed_angle=sensed_a,
-        waypoints=_waypoints(true_d),
+        # The cup sits at the origin, the grip waypoint at the true distance, the start far away.
+        waypoints={"wp0": (-50.0, 0.0), "wp1": (0.0, 0.0), "wp2": (true_d, 0.0)},
     )
-
-
-def _waypoints(true_distance: float) -> dict[str, tuple[float, float]]:
-    """Geometry realizing a distance: the cup sits at the origin, the
-    candidate grip waypoint at that distance, the start far away."""
-    return {"wp0": (-50.0, 0.0), "wp1": (0.0, 0.0), "wp2": (true_distance, 0.0)}
 
 
 # ── Execution ─────────────────────────────────────────────────────────────
@@ -233,32 +228,3 @@ def save_scenarios(path: str, scenarios: list[Scenario]) -> None:
                     s.grip_waypoint,
                 ]
             )
-
-
-def load_scenarios(path: str) -> list[Scenario]:
-    out: list[Scenario] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _SCENARIO_FIELDS:
-            raise WorldError(f"{path}: unexpected header {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                true_d = float(row["true_distance"])
-                scen = Scenario(
-                    kind=row["kind"],
-                    episode=int(row["scenario_id"]),
-                    seed=int(row["seed"]),
-                    rng_stream=row["rng_stream"],
-                    true_distance=true_d,
-                    true_angle=float(row["true_angle"]),
-                    sensed_distance=float(row["sensed_distance"]),
-                    sensed_angle=float(row["sensed_angle"]),
-                    waypoints=_waypoints(true_d),
-                    robot_start=row["robot_start"],
-                    cup_waypoint=row["cup_waypoint"],
-                    grip_waypoint=row["grip_waypoint"],
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise WorldError(f"{path}: bad row at line {lineno}: {exc}") from None
-            out.append(scen)
-    return out

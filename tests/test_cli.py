@@ -185,6 +185,7 @@ def test_python_dash_m_runs_the_cli():
         (["--noise-sigma-angle", "nan"], "sigma_angle"),
         (["--preseed-td", "-5"], "preseed_td"),
         (["--warmup-successes", "-3"], "warmup_successes"),
+        (["--seed", "-1"], "seed"),
     ],
 )
 def test_bad_experiment_configuration_is_input_error(flags, field, tmp_path, capsys):

@@ -90,10 +90,10 @@ def test_windowed_rates():
 
 def test_schema_eta_overrides():
     schema = _build_schema(ExperimentConfig(eta_distance=0.5, eta_angle=2.0))
-    assert schema.by_name("distance").eta == 0.5
-    assert schema.by_name("angle").eta == 2.0
+    assert schema.spec(defaults.DISTANCE).eta == 0.5
+    assert schema.spec(defaults.ANGLE).eta == 2.0
     default = _build_schema(ExperimentConfig())
-    assert default.by_name("distance").eta == 1.0
+    assert default.spec(defaults.DISTANCE).eta == 1.0
 
 
 def test_build_kb_applies_fault_and_relationships():

@@ -1,9 +1,11 @@
-"""Leftovers after a deletion: unused imports and unreferenced private functions.
+"""Leftovers after a deletion: unused imports, unreferenced private functions,
+and public names that only tests reach.
 
 Checks every module of the package with ``ast`` alone. An import is used when
 its module reads the name (as a name or an attribute) or lists it in
 ``__all__``; a private function is referenced when any module reads or
-imports its name.
+imports its name. A public name must be reached from the package itself
+(``__init__.py`` aside) or from the benchmark in ``perfbench/``.
 """
 
 import ast
@@ -13,6 +15,15 @@ import adkra
 
 SRC = pathlib.Path(adkra.__file__).resolve().parent
 MODULES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+# Public methods kept although only tests call them. Each is the only reader
+# of the run file its class writes, and the round-trip tests use it to pin
+# that the writer is lossless.
+TEST_ONLY_READERS = {
+    "KnowledgeBase.load",  # kb_final.csv, written by KnowledgeBase.save
+    "TrainingData.load",  # training_data.csv, written by TrainingData.save
+}
 
 
 def _used_names(tree: ast.Module) -> set[str]:
@@ -61,4 +72,50 @@ def test_every_private_module_function_is_referenced():
         and not node.name.startswith("__")
         and node.name not in referenced
     ]
+    assert unreferenced == []
+
+
+def _public_references() -> tuple[set[str], set[str]]:
+    """Names read or imported, and attributes or string constants, outside ``__init__.py`` and tests.
+
+    A string counts because ``perfbench/spans.py`` hooks methods by name.
+    """
+    trees = [tree for name, tree in MODULES.items() if name != "__init__.py"]
+    trees += [ast.parse(path.read_text(), filename=str(path)) for path in sorted(BENCH.glob("*.py"))]
+    names: set[str] = set()
+    attributes: set[str] = set()
+    for tree in trees:
+        names |= {bound for _lineno, bound in _imported_names(tree)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                attributes.add(node.value)
+    return names, attributes
+
+
+def _public(body: list[ast.stmt], kinds: tuple[type, ...]) -> list[ast.stmt]:
+    return [node for node in body if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """A method counts as reached only through an attribute or a hook's
+    string: a bare name that equals it is a local variable."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names, attributes = _public_references()
+    unreferenced = []
+    for name, tree in MODULES.items():
+        if name == "__init__.py":
+            continue
+        for node in _public(tree.body, functions + (ast.ClassDef,)):
+            if node.name not in names | attributes:
+                unreferenced.append(f"{name}:{node.lineno} {node.name}")
+            if isinstance(node, ast.ClassDef):
+                unreferenced += [
+                    f"{name}:{method.lineno} {node.name}.{method.name}"
+                    for method in _public(node.body, functions)
+                    if method.name not in attributes and f"{node.name}.{method.name}" not in TEST_ONLY_READERS
+                ]
     assert unreferenced == []

@@ -309,6 +309,8 @@ _ERROR_CASES = [
     ("init-head", "problem", {"init": "(5)"}, PddlSyntaxError, "line 1, col 65: expected init literal, found '5'"),
     ("init-term-arg", "problem", {"init": "(= (f :k) 1)"}, PddlSyntaxError, "line 1, col 70: expected argument, found ':k'"),
     ("init-value", "problem", {"init": "(= (f o) x)"}, PddlSyntaxError, "line 1, col 73: expected number, found 'x'"),
+    ("init-value-overflow", "problem", {"init": "(p o) (= (f o) 1e400) (= (g o) 2)"}, PddlSemanticError, "non-finite value 1e400 for (f o) in :init"),
+    ("init-value-overflow-negative", "problem", {"init": "(p o) (= (f o) 1) (= (g o) -1e400)"}, PddlSemanticError, "non-finite value -1e400 for (g o) in :init"),
     ("goal-cmp-single", "problem", {"goal": "(< (f o) (g o))"}, UnsupportedConstructError, "unsupported construct: comparison in goal (line 1)"),
     ("goal-cmp-and", "problem", {"goal": "(and (< (f o) (g o)))"}, UnsupportedConstructError, "unsupported construct: comparison in goal (line 1)"),
     ("goal-arg", "problem", {"goal": "(and (p :k))"}, PddlSyntaxError, "line 1, col 110: expected argument, found ':k'"),

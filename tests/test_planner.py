@@ -1,11 +1,24 @@
+import dataclasses
+import operator
 import pathlib
 import random
 from collections import deque
 
 import pytest
 
-from adkra.pddl import Atom, EvaluationError, ProblemInstance, parse_domain, parse_problem
+from adkra.pddl import (
+    Atom,
+    Effect,
+    EvaluationError,
+    ProblemInstance,
+    apply_effect,
+    ground_atom,
+    iter_bindings,
+    parse_domain,
+    parse_problem,
+)
 from adkra.planner import (
+    DEFAULT_MAX_DEPTH,
     NoPlanFound,
     Plan,
     find_plan,
@@ -41,16 +54,16 @@ def test_grounding_prunes_self_loops_and_sorts(domain, faulty):
     gotos = [ga for ga in actions if ga.schema == "goto"]
     grips = [ga for ga in actions if ga.schema == "grip"]
     assert len(gotos) == 20  # 5x5 minus the five stay-put moves
-    assert len(grips) == 25
+    assert len(grips) == 8  # of 25, the pairs 16, 20 or 24 cm apart, inside (mindis, maxdis)
     names = [ga.name for ga in actions]
     assert names == sorted(names)
 
 
 def test_numeric_gates_pre_evaluated(domain, faulty):
-    actions = {ga.name: ga for ga in ground_actions(domain, faulty)}
-    assert actions["(grip nao redcup wp2 wp1 grp)"].numeric_ok
-    assert not actions["(grip nao redcup wp0 wp1 grp)"].numeric_ok  # 50 cm away
-    assert not actions["(grip nao redcup wp1 wp1 grp)"].numeric_ok  # closer than mindis
+    names = {ga.name for ga in ground_actions(domain, faulty)}
+    assert "(grip nao redcup wp2 wp1 grp)" in names
+    assert "(grip nao redcup wp0 wp1 grp)" not in names  # 50 cm away
+    assert "(grip nao redcup wp1 wp1 grp)" not in names  # closer than mindis
 
 
 GATE_DOMAIN = parse_domain(
@@ -81,19 +94,87 @@ def _gate_problem(fluents: dict[str, float]) -> ProblemInstance:
 
 
 def test_ground_actions_gate_is_strict_at_the_bound():
-    [at_bound] = ground_actions(GATE_DOMAIN, _gate_problem({"f": 23.0, "g": 23.0}))
+    assert ground_actions(GATE_DOMAIN, _gate_problem({"f": 23.0, "g": 23.0})) == []
     [below] = ground_actions(GATE_DOMAIN, _gate_problem({"f": 22.9, "g": 23.0}))
-    assert not at_bound.numeric_ok
-    assert below.numeric_ok
-    facts = frozenset({Atom("p", ("a",))})
-    assert below.applicable(facts)
+    assert below.applicable(frozenset({Atom("p", ("a",))}))
     assert not below.applicable(frozenset())
-    assert not at_bound.applicable(facts)
 
 
 def test_ground_actions_missing_fluent_is_an_error():
     with pytest.raises(EvaluationError, match=r"unresolvable fluent: \(f a\)"):
         ground_actions(GATE_DOMAIN, _gate_problem({"g": 1.0}))
+
+
+_OPS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+
+
+def _reference_plan(domain, problem) -> list[str] | None:
+    """Shortest plan's step names, or None: BFS over every grounding, gates checked at each expansion."""
+    actions = []
+    for schema in domain.actions:
+        for binding in iter_bindings(schema.params, problem.objects):
+            ground = [ground_atom(a, binding) for a in schema.precondition.atoms]
+            gates = [
+                (_OPS[c.op], ground_atom(c.lhs, binding), ground_atom(c.rhs, binding))
+                for c in schema.precondition.comparisons
+            ]
+            effect = Effect(
+                tuple(ground_atom(a, binding) for a in schema.effect.adds),
+                tuple(ground_atom(a, binding) for a in schema.effect.dels),
+            )
+            name = "(" + " ".join([schema.name] + [binding[v] for v, _t in schema.params]) + ")"
+            actions.append((name, ground, gates, effect))
+    actions.sort(key=lambda a: a[0])
+    goal = frozenset(problem.goal)
+    if goal <= problem.init_facts:
+        return []
+    seen = {problem.init_facts}
+    queue = deque([(problem.init_facts, [])])
+    while queue:
+        facts, path = queue.popleft()
+        if len(path) >= DEFAULT_MAX_DEPTH:
+            continue
+        for name, ground, gates, effect in actions:
+            if not all(a in facts for a in ground):
+                continue
+            if not all(op(problem.init_fluents[lhs], problem.init_fluents[rhs]) for op, lhs, rhs in gates):
+                continue
+            nxt = apply_effect(facts, effect)
+            if nxt in seen:
+                continue
+            if goal <= nxt:
+                return path + [name]
+            seen.add(nxt)
+            queue.append((nxt, path + [name]))
+    return None
+
+
+def test_pruned_grounding_plans_like_a_search_that_checks_every_gate(domain, faulty):
+    rng = random.Random(7)
+    outcomes = {"plan": 0, "none": 0}
+    for _ in range(300):
+        # Whole numbers in overlapping ranges, so values often sit exactly on a bound.
+        fluents = {
+            term: float(rng.randint(0, 40) if term.name == "dist_to" and term.args[0] != term.args[1] else value)
+            for term, value in faulty.init_fluents.items()
+        }
+        fluents[Atom("maxdis", ("grp",))] = float(rng.randint(15, 35))
+        fluents[Atom("mindis", ("grp",))] = float(rng.randint(5, 20))
+        fluents[Atom("hwangle", ("nao",))] = float(rng.randint(-20, 5))
+        fluents[Atom("maxhwangle", ("nao",))] = float(rng.randint(-5, 10))
+        fluents[Atom("minhwangle", ("nao",))] = float(rng.randint(-25, -5))
+        problem = dataclasses.replace(faulty, init_fluents=fluents)
+        want = _reference_plan(domain, problem)
+        if want is None:
+            outcomes["none"] += 1
+            with pytest.raises(NoPlanFound):
+                find_plan(domain, problem)
+        else:
+            outcomes["plan"] += 1
+            plan = find_plan(domain, problem)
+            assert _names(plan) == want
+            assert validate_plan(domain, problem, plan)
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_plan_on_overstated_reach_uses_far_waypoint(domain, faulty):
@@ -112,8 +193,9 @@ def test_replaying_stale_plan_reports_failing_comparison(domain, faulty, refined
     stale = find_plan(domain, faulty)
     result = validate_plan(domain, refined, stale)
     assert not result.ok
-    assert result.diagnostic.startswith("step 2 (grip nao redcup wp2 wp1 grp)")
-    assert "maxdis" in result.diagnostic
+    assert result.diagnostic == (
+        "step 2 (grip nao redcup wp2 wp1 grp): comparison (< (dist_to wp2 wp1) (maxdis grp)) failed"
+    )
 
 
 def test_goal_already_satisfied_gives_empty_plan(domain, faulty):

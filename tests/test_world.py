@@ -13,8 +13,6 @@ from adkra.world import (
     WorldError,
     execute_plan,
     generate_scenario,
-    load_scenarios,
-    save_scenarios,
     sense,
 )
 
@@ -185,45 +183,3 @@ def test_execute_plan_without_grip_is_a_noop_success(envelope):
     goto = SimpleNamespace(schema="goto", args=("nao", "wp0", "wp2"))
     fb = execute_plan(_plan(goto), _scenario(24.0, -10.0), envelope)
     assert fb.outcome == SUCCESS and fb.true_cause == frozenset()
-
-
-def test_scenario_round_trip(tmp_path, kb):
-    rng = np.random.default_rng(8)
-    scenarios = [
-        generate_scenario("distance", rng, kb, episode=i, seed=8, rng_stream="warmup")
-        for i in range(5)
-    ]
-    path = tmp_path / "scenarios.csv"
-    save_scenarios(str(path), scenarios)
-    loaded = load_scenarios(str(path))
-    assert len(loaded) == 5
-    for a, b in zip(scenarios, loaded):
-        assert a.episode == b.episode
-        assert a.true_distance == b.true_distance
-        assert a.sensed_angle == b.sensed_angle
-        assert a.rng_stream == b.rng_stream
-
-
-def test_load_scenarios_rejects_bad_input(tmp_path):
-    path = tmp_path / "scenarios.csv"
-    path.write_text("nope\n")
-    with pytest.raises(WorldError, match="unexpected header"):
-        load_scenarios(str(path))
-    header = ",".join(
-        [
-            "scenario_id",
-            "seed",
-            "kind",
-            "rng_stream",
-            "true_distance",
-            "true_angle",
-            "sensed_distance",
-            "sensed_angle",
-            "robot_start",
-            "cup_waypoint",
-            "grip_waypoint",
-        ]
-    )
-    path.write_text(header + "\n0,0,distance,phase1,x,0,0,0,wp0,wp1,wp2\n")
-    with pytest.raises(WorldError, match="line 2"):
-        load_scenarios(str(path))
