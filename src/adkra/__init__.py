@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .experience import AttributeVector, TrainingData
 from .harness import ExperimentConfig, compute_metrics, emit_report, run_experiment
 from .instantiate import instantiate_problem
-from .kb import AttributeSchema, AttributeSpec, KnowledgeBase, Relationship
+from .kb import AttributeSchema, AttributeSpec, KnowledgeBase
 from .pddl import parse_domain, parse_problem, print_domain, print_problem
 from .planner import NoPlanFound, Plan, find_plan, format_plan, validate_plan
 from .reasoner import (
@@ -34,7 +34,6 @@ __all__ = [
     "NoPlanFound",
     "NoiseModel",
     "Plan",
-    "Relationship",
     "TrainingData",
     "__version__",
     "compute_metrics",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .kb import AttributeSchema, AttributeSpec, Relationship, ground_key
+from .kb import AttributeSchema, AttributeSpec, ground_key
 
 # Faulty-by-configuration gripping domain for a humanoid with one usable
 # gripper: goto moves between waypoints, grip succeeds only inside the
@@ -59,8 +59,8 @@ ANGLE = 2
 
 GRIP_SCHEMA = AttributeSchema(
     (
-        AttributeSpec(DISTANCE, "distance", "cm", 1.0, 1.0, MAXDIS, MINDIS),
-        AttributeSpec(ANGLE, "angle", "deg", 1.0, 1.0, MAXHWANGLE, MINHWANGLE),
+        AttributeSpec(DISTANCE, "distance", 1.0, 1.0, MAXDIS, MINDIS),  # cm
+        AttributeSpec(ANGLE, "angle", 1.0, 1.0, MAXHWANGLE, MINHWANGLE),  # deg
     )
 )
 
@@ -82,14 +82,9 @@ KIND_FAULTS: dict[str, dict[str, float]] = {
     "group": {MAXDIS: 25.0, MINHWANGLE: -27.0},
 }
 
-# Attribute relationships registered per kind: the coupling experiments treat
-# the angle as a slave of the distance, the single-fault ones do not.
-KIND_RELATIONSHIPS: dict[str, tuple[Relationship, ...]] = {
-    "distance": (Relationship(DISTANCE, "independent"), Relationship(ANGLE, "independent")),
-    "angle": (Relationship(DISTANCE, "independent"), Relationship(ANGLE, "independent")),
-    "collective": (Relationship(DISTANCE, "independent"), Relationship(ANGLE, "slave", DISTANCE)),
-    "group": (Relationship(DISTANCE, "independent"), Relationship(ANGLE, "slave", DISTANCE)),
-}
+# Kinds whose schema makes the angle a slave of the distance (its bounds are
+# bucketed by the quantized distance); in the others both are independent.
+COUPLED_KINDS = ("collective", "group")
 
 # True angle envelope anchors per kind. The single-fault experiments run a
 # flat world where the full angle range works at any distance; the coupling

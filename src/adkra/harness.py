@@ -23,7 +23,7 @@ from .experience import FAILURE, SUCCESS, AttributeVector, TrainingData
 from .instantiate import default_domain, instantiate_problem
 from .kb import AttributeSchema, KnowledgeBase
 from .planner import NoPlanFound, find_plan
-from .reasoner import StepReport, process_feedback
+from .reasoner import StepReport, format_number, process_feedback
 from .world import (
     GroundTruthEnvelope,
     NoiseModel,
@@ -75,10 +75,17 @@ class ExperimentConfig:
         for name in ("seed", "preseed_td", "warmup_successes"):
             if getattr(self, name) < 0:
                 raise HarnessError(f"{name} must not be negative")
-        for name in ("eta_distance", "eta_angle"):
+        for name, index in (("eta_distance", defaults.DISTANCE), ("eta_angle", defaults.ANGLE)):
             eta = getattr(self, name)
-            if eta is not None and not (math.isfinite(eta) and eta > 0):
+            if eta is None:
+                continue
+            if not (math.isfinite(eta) and eta > 0):
                 raise HarnessError(f"{name} must be finite and positive, got {eta}")
+            # An off-grid step leaves learned bounds between grid values, where
+            # no quantized success can ever confirm them.
+            q = defaults.GRIP_SCHEMA.spec(index).quantization
+            if not (eta / q).is_integer():
+                raise HarnessError(f"{name} must be a whole multiple of the grid step {q}, got {eta}")
         for name in ("sigma_distance", "sigma_angle"):
             sigma = getattr(self.noise, name)
             if not (math.isfinite(sigma) and sigma >= 0):
@@ -172,7 +179,6 @@ class ExperimentReport:
     kb_before: str
     kb: KnowledgeBase
     td: TrainingData
-    envelope: GroundTruthEnvelope
     schema: AttributeSchema
 
     def records_of(self, phase: str) -> list[EpisodeRecord]:
@@ -183,20 +189,21 @@ class ExperimentReport:
 
 
 def _build_schema(cfg: ExperimentConfig) -> AttributeSchema:
-    overrides = {"distance": cfg.eta_distance, "angle": cfg.eta_angle}
-    specs = []
-    for spec in defaults.GRIP_SCHEMA.attributes:
-        eta = overrides.get(spec.name)
-        specs.append(spec if eta is None else dataclasses.replace(spec, eta=eta))
-    return AttributeSchema(tuple(specs))
+    """The grip schema with the configured steps; the coupled kinds make angle a slave of distance."""
+    etas = {defaults.DISTANCE: cfg.eta_distance, defaults.ANGLE: cfg.eta_angle}
+    masters = {defaults.ANGLE: defaults.DISTANCE} if cfg.kind in defaults.COUPLED_KINDS else {}
+    return AttributeSchema(
+        tuple(
+            dataclasses.replace(spec, eta=etas[spec.index] or spec.eta, master=masters.get(spec.index))
+            for spec in defaults.GRIP_SCHEMA.attributes
+        )
+    )
 
 
 def _build_kb(cfg: ExperimentConfig) -> KnowledgeBase:
     kb = KnowledgeBase(defaults.INITIAL_KB)
     for fluent, value in cfg.resolved_faults().items():
         kb.load_initial(fluent, value)
-    for rel in defaults.KIND_RELATIONSHIPS[cfg.kind]:
-        kb.register_relationship(rel)
     return kb
 
 
@@ -331,7 +338,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         kb_before=kb_before,
         kb=kb,
         td=td,
-        envelope=envelope,
         schema=schema,
     )
 
@@ -426,8 +432,8 @@ def _episode_row(report: ExperimentReport, r: EpisodeRecord) -> list[str]:
         rep = r.report
         anomalies = "|".join(a.render() for a in rep.anomalies)
         outlier = rep.outlier.attribute if rep.outlier else ""
-        nn = _csv_num(rep.nn)
-        lv = _csv_num(rep.lv.value) if rep.lv else ""
+        nn = "" if rep.nn is None else format_number(rep.nn)
+        lv = format_number(rep.lv.value) if rep.lv else ""
         if rep.refinement is not None:
             refinement = rep.refinement.render()
         elif rep.undetected:
@@ -446,12 +452,6 @@ def _episode_row(report: ExperimentReport, r: EpisodeRecord) -> list[str]:
         refinement,
         r.kb_hash,
     ]
-
-
-def _csv_num(v: float | None) -> str:
-    if v is None:
-        return ""
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
 def _write_episodes(report: ExperimentReport, path: str) -> None:

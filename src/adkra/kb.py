@@ -5,7 +5,9 @@ the bottom with status ``confirmed``; refinement pushes a single ``temporary``
 value on top (replacing any previous temporary, never stacking two); a
 confirmation turns the top into the new revert floor. Conditional entries
 keyed by a quantized master-attribute bucket hold learned per-bucket bounds
-and fall back to the unconditional entry on lookup.
+and fall back to the unconditional entry on lookup. The attribute schema
+says which attribute is whose master; the knowledge base keeps no
+relationships of its own.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ log = logging.getLogger(__name__)
 
 CONFIRMED = "confirmed"
 TEMPORARY = "temporary"
-
-INDEPENDENT = "independent"
-SLAVE = "slave"
-_REL_KINDS = (INDEPENDENT, SLAVE)
 
 
 class KnowledgeBaseError(Exception):
@@ -55,11 +53,13 @@ def split_key(key: str) -> tuple[str, tuple[str, ...]]:
 class AttributeSpec:
     index: int  # 1-based, contiguous
     name: str
-    unit: str
     quantization: float
     eta: float
     kb_fluent_upper: str | None = None
     kb_fluent_lower: str | None = None
+    # Attribute whose quantized bucket conditions this one's bounds (a slave
+    # of that master); None for an independent attribute.
+    master: int | None = None
 
 
 @dataclass
@@ -74,6 +74,14 @@ class AttributeSchema:
                 raise KnowledgeBaseError(
                     f"attribute {spec.name}: quantization and eta must be finite and positive"
                 )
+            if spec.master is None:
+                continue
+            if not 1 <= spec.master <= len(self.attributes):
+                raise KnowledgeBaseError(f"attribute {spec.name}: no master attribute {spec.master}")
+            if spec.master == spec.index:
+                raise KnowledgeBaseError(f"attribute {spec.name} cannot be its own master")
+            if self.attributes[spec.master - 1].master is not None:
+                raise KnowledgeBaseError(f"attribute {spec.name}: its master has a master itself")
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -83,13 +91,11 @@ class AttributeSchema:
             raise KnowledgeBaseError(f"no attribute with index {index}")
         return self.attributes[index - 1]
 
-    def by_fluent(self, fluent: str) -> tuple[AttributeSpec, str] | None:
-        """Return (spec, side) for the attribute owning a bound fluent, if any."""
+    def by_fluent(self, fluent: str) -> AttributeSpec | None:
+        """The attribute owning a bound fluent, on either side, if any."""
         for spec in self.attributes:
-            if spec.kb_fluent_upper == fluent:
-                return spec, "upper"
-            if spec.kb_fluent_lower == fluent:
-                return spec, "lower"
+            if fluent in (spec.kb_fluent_upper, spec.kb_fluent_lower):
+                return spec
         return None
 
     def quantize(self, index: int, value: float) -> float:
@@ -107,26 +113,6 @@ class AttributeSchema:
 
 def _snap(value: float, q: float) -> float:
     return math.floor(value / q + 0.5) * q
-
-
-# ── Relationships ─────────────────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class Relationship:
-    attribute: int
-    kind: str
-    master: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _REL_KINDS:
-            raise KnowledgeBaseError(f"unknown relationship kind {self.kind!r}")
-        if self.kind == SLAVE and self.master is None:
-            raise KnowledgeBaseError("slave relationship needs a master attribute")
-        if self.kind != SLAVE and self.master is not None:
-            raise KnowledgeBaseError(f"{self.kind} relationship must not name a master")
-        if self.master == self.attribute:
-            raise KnowledgeBaseError("attribute cannot be its own master")
 
 
 # ── KB entries ────────────────────────────────────────────────────────────
@@ -161,11 +147,10 @@ class KBEntry:
 
 
 class KnowledgeBase:
-    """Bound fluents with refinement history, plus attribute relationships."""
+    """Bound fluents with refinement history, global or per master bucket."""
 
     def __init__(self, initial: dict[str, float] | None = None):
         self._entries: dict[tuple[str, float | None], KBEntry] = {}
-        self._relationships: list[Relationship] = []
         self._digest: str | None = None  # snapshot_hash, cleared by every write
         if initial:
             for fluent, value in initial.items():
@@ -179,24 +164,6 @@ class KnowledgeBase:
         self._entries[(fluent, None)] = KBEntry(
             fluent, None, [HistoryRecord(float(value), CONFIRMED, stamp)]
         )
-
-    def register_relationship(self, rel: Relationship) -> None:
-        others = [r for r in self._relationships if r.attribute != rel.attribute]
-        candidate = others + [rel]
-        masters = {r.attribute: r.master for r in candidate if r.kind == SLAVE}
-        for start in masters:
-            seen = {start}
-            cur = masters.get(start)
-            while cur is not None:
-                if cur in seen:
-                    raise KnowledgeBaseError("relationship cycle detected")
-                seen.add(cur)
-                cur = masters.get(cur)
-        self._relationships = candidate
-
-    @property
-    def relationships(self) -> tuple[Relationship, ...]:
-        return tuple(self._relationships)
 
     # -- lookup -----------------------------------------------------------
 

@@ -72,16 +72,22 @@ class ValidationResult:
 def ground_actions(domain: DomainModel, problem: ProblemInstance) -> list[GroundAction]:
     """All type-correct instantiations whose numeric gates hold on ``problem``.
 
-    Instantiations whose add and delete lists coincide (self-loop moves) are
-    dropped; they can never change a state. So are those with a failing
-    comparison; the fluents never change, so they can never apply.
+    Instantiations that delete only atoms they add, and add only atoms their
+    precondition requires (self-loop moves), are dropped: effects delete
+    before they add, so applying one gives back the state it applied in. So
+    are those with a failing comparison; the fluents never change, so they
+    can never apply.
     """
     out: list[GroundAction] = []
     for schema in domain.actions:
         for binding in iter_bindings(schema.params, problem.objects):
             adds = tuple(ground_atom(a, binding) for a in schema.effect.adds)
             dels = tuple(ground_atom(a, binding) for a in schema.effect.dels)
-            if set(adds) == set(dels) or _failed_gate(schema, binding, problem) is not None:
+            if set(dels) <= set(adds) and set(adds) <= {
+                ground_atom(a, binding) for a in schema.precondition.atoms
+            }:
+                continue
+            if _failed_gate(schema, binding, problem) is not None:
                 continue
             out.append(
                 GroundAction(

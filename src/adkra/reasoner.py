@@ -2,11 +2,12 @@
 
 One failed execution drives one pass: the observed vector is quantized onto
 the attribute grid, screened against the success history for point anomalies
-(column membership) and collective anomalies (joint membership under a
-master/slave relationship), and the selected outlier value is moved one
-learning step toward its nearest successful neighbour. The resulting value
-lands in the KB as a temporary bound unless it falls strictly inside the
-already-successful range, in which case the pending temporary is reverted.
+(column membership) and collective anomalies (joint membership of each slave
+attribute with the master the schema names for it), and the selected outlier
+value is moved one learning step toward its nearest successful neighbour. The
+resulting value lands in the KB as a temporary bound unless it falls strictly
+inside the already-successful range, in which case the pending temporary is
+reverted.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .experience import FAILURE, SUCCESS, EmptyColumnError, TrainingData
-from .kb import SLAVE, AttributeSchema, KnowledgeBase
+from .kb import AttributeSchema, KnowledgeBase
 
 log = logging.getLogger(__name__)
 
@@ -41,21 +42,10 @@ class Anomaly:
     bucket: float | None = None  # quantized master value, collective only
 
     def render(self) -> str:
-        tag = f"{self.kind}:{self.attribute}={_num(self.value)}"
+        tag = f"{self.kind}:{self.attribute}={format_number(self.value)}"
         if self.bucket is not None:
-            tag += f"@{_num(self.bucket)}"
+            tag += f"@{format_number(self.bucket)}"
         return tag
-
-
-@dataclass(frozen=True)
-class Outlier:
-    index: int
-    attribute: str
-    value: float
-    kind: str
-    rationale: str
-    bucket_by: int | None = None
-    bucket: float | None = None
 
 
 @dataclass(frozen=True)
@@ -76,7 +66,7 @@ class Refinement:
             return self.outcome
         tag = f"{self.outcome}:{self.fluent}"
         if self.condition is not None:
-            tag += f"@{_num(self.condition)}"
+            tag += f"@{format_number(self.condition)}"
         return tag
 
 
@@ -87,16 +77,16 @@ class StepReport:
     episode: int
     outcome: str
     anomalies: list[Anomaly] = field(default_factory=list)
-    outlier: Outlier | None = None
+    outlier: Anomaly | None = None
     nn: float | None = None
     lv: LearnedValue | None = None
     refinement: Refinement | None = None
     confirmed: list[str] = field(default_factory=list)
     undetected: bool = False
-    note: str = ""
 
 
-def _num(v: float) -> str:
+def format_number(v: float) -> str:
+    """A value as the episode log writes it: whole values without a fraction."""
     return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
@@ -117,21 +107,19 @@ def detect_point_anomalies(values: tuple[float, ...], td: TrainingData) -> list[
     return found
 
 
-def detect_collective_anomalies(
-    values: tuple[float, ...], td: TrainingData, relationships
-) -> list[Anomaly]:
+def detect_collective_anomalies(values: tuple[float, ...], td: TrainingData) -> list[Anomaly]:
     """Value combinations of a quantized failure vector never seen together
     although each value is known.
 
-    Runs over the registered master/slave pairs only; the anomaly lands on the
+    Runs over the schema's master/slave pairs only; the anomaly lands on the
     slave attribute (the one the refinement will touch), tagged with the
     master's quantized bucket.
     """
     found = []
-    for rel in relationships:
-        if rel.kind != SLAVE:
+    for spec in td.schema.attributes:
+        if spec.master is None:
             continue
-        master, slave = rel.master, rel.attribute
+        master, slave = spec.master, spec.index
         mv = values[master - 1]
         sv = values[slave - 1]
         if not td.contains_value(master, mv) or not td.contains_value(slave, sv):
@@ -139,15 +127,14 @@ def detect_collective_anomalies(
         if td.contains_joint([master, slave], [mv, sv]):
             continue
         bucket = td.schema.quantize(master, mv)
-        slave_name = td.schema.spec(slave).name
-        found.append(Anomaly(slave, slave_name, sv, COLLECTIVE, master, bucket))
+        found.append(Anomaly(slave, spec.name, sv, COLLECTIVE, master, bucket))
     return found
 
 
 # ── Selection ─────────────────────────────────────────────────────────────
 
 
-def select_outlier(anomalies: list[Anomaly], relationships) -> Outlier | None:
+def select_outlier(anomalies: list[Anomaly], schema: AttributeSchema) -> Anomaly | None:
     """Pick the single anomaly worth refining this episode.
 
     Point anomalies win over collective ones. Among several point anomalies a
@@ -156,37 +143,27 @@ def select_outlier(anomalies: list[Anomaly], relationships) -> Outlier | None:
     """
     if not anomalies:
         return None
-    masters = {r.master for r in relationships if r.kind == SLAVE}
-    slaves = {r.attribute for r in relationships if r.kind == SLAVE}
-
+    masters = {s.master for s in schema.attributes}
     points = [a for a in anomalies if a.kind == POINT]
-    if len(points) == 1:
-        return _as_outlier(points[0], "single point anomaly")
-    if points:
-        def rank(a: Anomaly) -> tuple[int, int]:
-            if a.index in masters:
-                tier = 0
-            elif a.index in slaves:
-                tier = 2
-            else:
-                tier = 1
-            return (tier, a.index)
+    if not points:
+        return min(anomalies, key=lambda a: a.index)
 
-        best = min(points, key=rank)
-        return _as_outlier(best, "master/independent first among point anomalies")
+    def rank(a: Anomaly) -> tuple[int, int]:
+        if a.index in masters:
+            tier = 0
+        elif schema.spec(a.index).master is not None:
+            tier = 2
+        else:
+            tier = 1
+        return (tier, a.index)
 
-    best = min(anomalies, key=lambda a: a.index)
-    return _as_outlier(best, "collective anomaly on slave attribute")
-
-
-def _as_outlier(a: Anomaly, rationale: str) -> Outlier:
-    return Outlier(a.index, a.attribute, a.value, a.kind, rationale, a.bucket_by, a.bucket)
+    return min(points, key=rank)
 
 
 # ── Learning ──────────────────────────────────────────────────────────────
 
 
-def learn_value(out: Outlier, nn: float, eta: float) -> LearnedValue | None:
+def learn_value(out: Anomaly, nn: float, eta: float) -> LearnedValue | None:
     """One learning step from the outlier toward its nearest neighbour.
 
     Returns None when the outlier equals its neighbour (nothing to learn).
@@ -205,7 +182,7 @@ def learn_value(out: Outlier, nn: float, eta: float) -> LearnedValue | None:
 
 def refine(
     lv: LearnedValue,
-    out: Outlier,
+    out: Anomaly,
     kb: KnowledgeBase,
     td: TrainingData,
     *,
@@ -271,13 +248,12 @@ def process_feedback(
     qvec = schema.quantize_vector(fb.observed.values)
     anomalies = detect_point_anomalies(qvec, td)
     if not anomalies:
-        anomalies = detect_collective_anomalies(qvec, td, kb.relationships)
+        anomalies = detect_collective_anomalies(qvec, td)
     report = StepReport(episode, FAILURE, anomalies=anomalies)
 
-    outlier = select_outlier(anomalies, kb.relationships)
+    outlier = select_outlier(anomalies, schema)
     if outlier is None:
         report.undetected = True
-        report.note = "no anomaly found"
         return report
     report.outlier = outlier
 
@@ -285,7 +261,6 @@ def process_feedback(
         nn = td.nearest_neighbor(outlier.index, outlier.value, outlier.bucket_by, outlier.bucket)
     except EmptyColumnError:
         report.undetected = True
-        report.note = "no successful history for attribute"
         return report
     report.nn = nn
 
@@ -293,7 +268,6 @@ def process_feedback(
     if lv is None:
         report.undetected = True
         report.refinement = Refinement(NO_OP)
-        report.note = "outlier equals nearest neighbour"
         return report
     report.lv = lv
 
@@ -303,24 +277,21 @@ def process_feedback(
 
 def _confirm_matching(fb, kb: KnowledgeBase, schema: AttributeSchema, report: StepReport) -> None:
     """Confirm any pending temporary whose value the success just reproduced."""
-    slave_master = {r.attribute: r.master for r in kb.relationships if r.kind == SLAVE}
     for entry in kb.temporaries():
-        mapped = schema.by_fluent(entry.fluent)
-        if mapped is None:
+        spec = schema.by_fluent(entry.fluent)
+        if spec is None:
             continue
-        spec, _side = mapped
         observed = fb.observed.values[spec.index - 1]
         if schema.quantize(spec.index, observed) != entry.value:
             continue
         if entry.condition is not None:
-            master = slave_master.get(spec.index)
-            if master is None:
+            if spec.master is None:
                 continue
-            mv = fb.observed.values[master - 1]
-            if schema.quantize(master, mv) != entry.condition:
+            mv = fb.observed.values[spec.master - 1]
+            if schema.quantize(spec.master, mv) != entry.condition:
                 continue
         kb.confirm_top(entry.fluent, entry.condition)
         tag = entry.fluent
         if entry.condition is not None:
-            tag += f"@{_num(entry.condition)}"
+            tag += f"@{format_number(entry.condition)}"
         report.confirmed.append(tag)

@@ -16,13 +16,13 @@ from adkra.pddl import parse_domain, parse_problem, print_domain, print_problem
 from adkra.planner import find_plan
 from adkra.reasoner import (
     REJECTED_REVERTED,
-    Outlier,
+    Anomaly,
     LearnedValue,
     detect_point_anomalies,
     learn_value,
     refine,
 )
-from adkra.world import NoiseModel
+from adkra.world import GroundTruthEnvelope, NoiseModel
 
 DATA = pathlib.Path(__file__).parent / "data"
 SCHEMA = defaults.GRIP_SCHEMA
@@ -47,6 +47,7 @@ def test_understated_angle_bound_converges():
 
 def test_bucketed_angle_bounds_converge_to_the_coupled_floor():
     report = run_experiment(ExperimentConfig(kind="collective", episodes=100, seed=9))
+    envelope = GroundTruthEnvelope(angle_anchors=defaults.KIND_ANCHORS["collective"])
     failures_per_bucket: dict[float, int] = {}
     for rec in report.records_of("phase1"):
         rep = rec.report
@@ -57,7 +58,7 @@ def test_bucketed_angle_bounds_converge_to_the_coupled_floor():
     assert well_sampled, "expected at least one distance bucket with repeated failures"
     for bucket in well_sampled:
         learned = report.kb.get_effective_value(defaults.MAXHWANGLE, bucket)
-        true_floor = report.envelope.angle_bound(bucket)
+        true_floor = envelope.angle_bound(bucket)
         assert abs(learned - true_floor) <= 1.0, f"bucket {bucket}"
     assert report.phase2_failures == 0
 
@@ -101,9 +102,9 @@ def test_point_detection_matches_bruteforce():
 
 
 def test_learning_step_arithmetic_is_exact():
-    above = Outlier(1, "distance", 24.0, "point", "")
+    above = Anomaly(1, "distance", 24.0, "point")
     assert learn_value(above, 20.0, 1.0) == LearnedValue(1, "distance", 23.0)
-    below = Outlier(1, "distance", 13.0, "point", "")
+    below = Anomaly(1, "distance", 13.0, "point")
     assert learn_value(below, 15.0, 1.0) == LearnedValue(1, "distance", 14.0)
 
 
@@ -118,7 +119,7 @@ def test_interior_learned_values_are_rejected():
         kb = KnowledgeBase(dict(defaults.INITIAL_KB))
         kb.load_initial(defaults.MAXDIS, 27.0)
         kb.apply_temporary(defaults.MAXDIS, 26.0, stamp=1)
-        out = Outlier(1, "distance", float(rng.randint(24, 30)), "point", "")
+        out = Anomaly(1, "distance", float(rng.randint(24, 30)), "point")
         interior = rng.uniform(qmin + 0.01, qmax - 0.01)
         result = refine(LearnedValue(1, "distance", interior), out, kb, td, stamp=trial)
         assert result.outcome == REJECTED_REVERTED

@@ -186,6 +186,8 @@ def test_python_dash_m_runs_the_cli():
         (["--preseed-td", "-5"], "preseed_td"),
         (["--warmup-successes", "-3"], "warmup_successes"),
         (["--seed", "-1"], "seed"),
+        (["--eta-distance", "0.5"], "eta_distance"),
+        (["--eta-angle", "2.5"], "eta_angle"),
     ],
 )
 def test_bad_experiment_configuration_is_input_error(flags, field, tmp_path, capsys):

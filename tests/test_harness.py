@@ -20,7 +20,6 @@ from adkra.harness import (
     load_scored_events,
     run_experiment,
 )
-from adkra.kb import SLAVE
 from adkra.world import GroundTruthEnvelope, NoiseModel
 
 
@@ -89,22 +88,23 @@ def test_windowed_rates():
 
 
 def test_schema_eta_overrides():
-    schema = _build_schema(ExperimentConfig(eta_distance=0.5, eta_angle=2.0))
-    assert schema.spec(defaults.DISTANCE).eta == 0.5
+    schema = _build_schema(ExperimentConfig(eta_distance=3.0, eta_angle=2.0))
+    assert schema.spec(defaults.DISTANCE).eta == 3.0
     assert schema.spec(defaults.ANGLE).eta == 2.0
     default = _build_schema(ExperimentConfig())
     assert default.spec(defaults.DISTANCE).eta == 1.0
 
 
-def test_build_kb_applies_fault_and_relationships():
-    kb = _build_kb(ExperimentConfig(kind="collective"))
+def test_build_kb_applies_fault_and_schema_couples_angle():
+    collective = ExperimentConfig(kind="collective")
+    kb = _build_kb(collective)
     assert kb.get_effective_value(defaults.MAXDIS) == 23.0
-    rel_kinds = {r.attribute: r.kind for r in kb.relationships}
-    assert rel_kinds[defaults.ANGLE] == SLAVE
+    masters = {s.index: s.master for s in _build_schema(collective).attributes}
+    assert masters == {defaults.DISTANCE: None, defaults.ANGLE: defaults.DISTANCE}
 
-    faulted = _build_kb(ExperimentConfig(kind="distance"))
-    assert faulted.get_effective_value(defaults.MAXDIS) == 27.0
-    assert all(r.kind == "independent" for r in faulted.relationships)
+    faulted = ExperimentConfig(kind="distance")
+    assert _build_kb(faulted).get_effective_value(defaults.MAXDIS) == 27.0
+    assert all(s.master is None for s in _build_schema(faulted).attributes)
 
 
 def test_run_experiment_structure():

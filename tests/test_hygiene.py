@@ -1,11 +1,12 @@
 """Leftovers after a deletion: unused imports, unreferenced private functions,
-and public names that only tests reach.
+public names that only tests reach, and dataclass fields nothing reads.
 
 Checks every module of the package with ``ast`` alone. An import is used when
 its module reads the name (as a name or an attribute) or lists it in
 ``__all__``; a private function is referenced when any module reads or
 imports its name. A public name must be reached from the package itself
-(``__init__.py`` aside) or from the benchmark in ``perfbench/``.
+(``__init__.py`` aside) or from the benchmark in ``perfbench/``. A dataclass
+field must be read as an attribute in the package or the benchmark.
 """
 
 import ast
@@ -119,3 +120,34 @@ def test_every_public_name_has_a_caller_outside_tests():
                     if method.name not in attributes and f"{node.name}.{method.name}" not in TEST_ONLY_READERS
                 ]
     assert unreferenced == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read():
+    """A field counts as read when its name is loaded as an attribute
+    anywhere in the package or the benchmark (by name, not by type)."""
+    trees = list(MODULES.values())
+    trees += [ast.parse(path.read_text(), filename=str(path)) for path in sorted(BENCH.glob("*.py"))]
+    loaded = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{name}:{stmt.lineno} {node.name}.{stmt.target.id}"
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in loaded
+    ]
+    assert unread == []

@@ -6,14 +6,11 @@ import pytest
 from adkra import defaults
 from adkra.kb import (
     CONFIRMED,
-    INDEPENDENT,
-    SLAVE,
     TEMPORARY,
     AttributeSchema,
     AttributeSpec,
     KnowledgeBase,
     KnowledgeBaseError,
-    Relationship,
     UnknownFluentError,
     ground_key,
     split_key,
@@ -49,7 +46,7 @@ def test_quantize_rounds_half_up():
     }
     for raw, want in cases.items():
         assert schema.quantize(1, raw) == want
-    fine = AttributeSpec(1, "x", "cm", 0.5, 0.5)
+    fine = AttributeSpec(1, "x", 0.5, 0.5)
     half = AttributeSchema((fine,))
     assert half.quantize(1, 0.74) == 0.5
     assert half.quantize(1, 0.76) == 1.0
@@ -63,48 +60,48 @@ def test_quantize_vector_checks_arity():
 
 
 def test_schema_validation():
-    spec = AttributeSpec(2, "x", "cm", 1.0, 1.0)
+    spec = AttributeSpec(2, "x", 1.0, 1.0)
     with pytest.raises(KnowledgeBaseError, match="contiguous"):
         AttributeSchema((spec,))
     with pytest.raises(KnowledgeBaseError, match="positive"):
-        AttributeSchema((AttributeSpec(1, "x", "cm", 1.0, 0.0),))
+        AttributeSchema((AttributeSpec(1, "x", 1.0, 0.0),))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(KnowledgeBaseError, match="finite"):
-            AttributeSchema((AttributeSpec(1, "x", "cm", 1.0, bad),))
+            AttributeSchema((AttributeSpec(1, "x", 1.0, bad),))
         with pytest.raises(KnowledgeBaseError, match="finite"):
-            AttributeSchema((AttributeSpec(1, "x", "cm", bad, 1.0),))
+            AttributeSchema((AttributeSpec(1, "x", bad, 1.0),))
 
 
 def test_by_fluent_resolves_side():
     schema = defaults.GRIP_SCHEMA
-    spec, side = schema.by_fluent(MAXDIS)
-    assert spec.name == "distance" and side == "upper"
-    spec, side = schema.by_fluent(defaults.MINHWANGLE)
-    assert spec.name == "angle" and side == "lower"
+    assert schema.by_fluent(MAXDIS).name == "distance"
+    assert schema.by_fluent(defaults.MINDIS).name == "distance"
+    assert schema.by_fluent(defaults.MINHWANGLE).name == "angle"
     assert schema.by_fluent("nosuch(grp)") is None
 
 
+def _coupled(*masters):
+    return AttributeSchema(
+        tuple(AttributeSpec(i, f"a{i}", 1.0, 1.0, master=m) for i, m in enumerate(masters, start=1))
+    )
+
+
 def test_relationship_validation():
-    Relationship(1, INDEPENDENT)
-    Relationship(2, SLAVE, master=1)
-    with pytest.raises(KnowledgeBaseError, match="needs a master"):
-        Relationship(2, SLAVE)
-    with pytest.raises(KnowledgeBaseError, match="must not name"):
-        Relationship(1, INDEPENDENT, master=2)
+    assert _coupled(None, 1).spec(2).master == 1
+    assert _coupled(2, None, 2).spec(3).master == 2
+    for bad in (0, 3, -1):
+        with pytest.raises(KnowledgeBaseError, match="no master attribute"):
+            _coupled(None, bad)
     with pytest.raises(KnowledgeBaseError, match="own master"):
-        Relationship(1, SLAVE, master=1)
-    with pytest.raises(KnowledgeBaseError, match="unknown relationship kind"):
-        Relationship(1, "friend")
+        _coupled(1, None)
 
 
-def test_relationship_cycle_detection(kb):
-    kb.register_relationship(Relationship(2, SLAVE, master=1))
-    with pytest.raises(KnowledgeBaseError, match="cycle"):
-        kb.register_relationship(Relationship(1, SLAVE, master=2))
-    # replacing attribute 2's record breaks the would-be cycle
-    kb.register_relationship(Relationship(2, INDEPENDENT))
-    kb.register_relationship(Relationship(1, SLAVE, master=2))
-    assert {r.attribute: r.kind for r in kb.relationships} == {1: SLAVE, 2: INDEPENDENT}
+def test_relationship_cycle_detection():
+    with pytest.raises(KnowledgeBaseError, match="has a master itself"):
+        _coupled(2, 1)
+    # a chain is rejected too: a slave's master must be independent
+    with pytest.raises(KnowledgeBaseError, match="has a master itself"):
+        _coupled(None, 1, 2)
 
 
 def test_temporary_then_confirm(kb):

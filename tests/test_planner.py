@@ -59,6 +59,32 @@ def test_grounding_prunes_self_loops_and_sorts(domain, faulty):
     assert names == sorted(names)
 
 
+MARK_DOMAIN = parse_domain(
+    """
+    (define (domain marks)
+      (:requirements :strips :typing)
+      (:types item)
+      (:predicates (p ?x - item) (q ?x - item))
+      (:action mark
+        :parameters (?x - item)
+        :precondition (and (p ?x))
+        :effect (and (q ?x) (not (q ?x)))))
+    """
+)
+
+
+def test_equal_add_and_delete_lists_still_add_what_the_precondition_lacks():
+    # delete-then-add makes (q a) true; only an add the precondition already
+    # requires would leave every state unchanged
+    problem = parse_problem(
+        "(define (problem mark-a) (:domain marks) (:objects a - item) (:init (p a)) (:goal (q a)))",
+        MARK_DOMAIN,
+    )
+    plan = find_plan(MARK_DOMAIN, problem)
+    assert _names(plan) == ["(mark a)"]
+    assert validate_plan(MARK_DOMAIN, problem, plan)
+
+
 def test_numeric_gates_pre_evaluated(domain, faulty):
     names = {ga.name for ga in ground_actions(domain, faulty)}
     assert "(grip nao redcup wp2 wp1 grp)" in names

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from adkra.experience import (
     AttributeVector,
     TrainingData,
 )
-from adkra.kb import SLAVE, KnowledgeBase, Relationship
+from adkra.kb import AttributeSchema, KnowledgeBase
 from adkra.reasoner import (
     APPLIED_TEMPORARY,
     COLLECTIVE,
@@ -18,7 +19,6 @@ from adkra.reasoner import (
     POINT,
     REJECTED_REVERTED,
     Anomaly,
-    Outlier,
     ReasonerError,
     detect_collective_anomalies,
     detect_point_anomalies,
@@ -29,13 +29,15 @@ from adkra.reasoner import (
 )
 
 SCHEMA = defaults.GRIP_SCHEMA
+# angle a slave of distance, as the coupled experiment kinds set it
+COUPLED = AttributeSchema((SCHEMA.spec(1), dataclasses.replace(SCHEMA.spec(2), master=1)))
 MAXDIS = defaults.MAXDIS
 MINDIS = defaults.MINDIS
 MAXHW = defaults.MAXHWANGLE
 
 
-def _td(pairs):
-    td = TrainingData(SCHEMA)
+def _td(pairs, schema=SCHEMA):
+    td = TrainingData(schema)
     for i, (d, a) in enumerate(pairs):
         td.add_success(AttributeVector((float(d), float(a)), SUCCESS, i))
     return td
@@ -46,8 +48,8 @@ def _failure(d, a):
     return (float(d), float(a))
 
 
-def _range_td(lo=15, hi=23, angle=-10.0):
-    return _td([(d, angle) for d in range(lo, hi + 1)])
+def _range_td(lo=15, hi=23, angle=-10.0, schema=SCHEMA):
+    return _td([(d, angle) for d in range(lo, hi + 1)], schema)
 
 
 def _success_fb(d, a, episode=0):
@@ -83,21 +85,19 @@ def test_point_detection_checks_arity():
 
 
 def test_collective_anomaly_lands_on_slave_with_master_bucket():
-    td = _td([(18, -18), (20, -5)])
-    rels = [Relationship(2, SLAVE, master=1)]
-    anomalies = detect_collective_anomalies(_failure(20, -18), td, rels)
+    td = _td([(18, -18), (20, -5)], COUPLED)
+    anomalies = detect_collective_anomalies(_failure(20, -18), td)
     assert [a.render() for a in anomalies] == ["collective:angle=-18@20"]
     a = anomalies[0]
     assert (a.index, a.kind, a.bucket_by, a.bucket) == (2, COLLECTIVE, 1, 20.0)
 
 
 def test_collective_needs_both_marginals_and_missing_joint():
-    rels = [Relationship(2, SLAVE, master=1)]
-    seen_together = _td([(20, -18)])
-    assert detect_collective_anomalies(_failure(20, -18), seen_together, rels) == []
-    master_unseen = _td([(18, -18)])
-    assert detect_collective_anomalies(_failure(20, -18), master_unseen, rels) == []
-    no_slave_rel = detect_collective_anomalies(_failure(20, -18), _td([(18, -18), (20, -5)]), [])
+    seen_together = _td([(20, -18)], COUPLED)
+    assert detect_collective_anomalies(_failure(20, -18), seen_together) == []
+    master_unseen = _td([(18, -18)], COUPLED)
+    assert detect_collective_anomalies(_failure(20, -18), master_unseen) == []
+    no_slave_rel = detect_collective_anomalies(_failure(20, -18), _td([(18, -18), (20, -5)]))
     assert no_slave_rel == []
 
 
@@ -106,26 +106,26 @@ def test_collective_needs_both_marginals_and_missing_joint():
 
 def test_select_single_point():
     a = Anomaly(2, "angle", -28.0, POINT)
-    out = select_outlier([a], [])
-    assert out.index == 2 and out.rationale == "single point anomaly"
+    out = select_outlier([a], SCHEMA)
+    assert out.index == 2 and out == a
 
 
 def test_select_prefers_master_over_slave():
-    rels = [Relationship(2, SLAVE, master=1)]
     both = [Anomaly(1, "distance", 26.0, POINT), Anomaly(2, "angle", -28.0, POINT)]
-    assert select_outlier(both, rels).index == 1
-    assert select_outlier(both[::-1], rels).index == 1
+    assert select_outlier(both, COUPLED).index == 1
+    assert select_outlier(both[::-1], COUPLED).index == 1
 
 
 def test_select_prefers_independent_over_slave():
-    rels = [Relationship(1, SLAVE, master=2)]  # distance slave of angle here
+    # distance slave of angle here
+    reversed_ = AttributeSchema((dataclasses.replace(SCHEMA.spec(1), master=2), SCHEMA.spec(2)))
     both = [Anomaly(1, "distance", 26.0, POINT), Anomaly(2, "angle", -28.0, POINT)]
-    assert select_outlier(both, rels).index == 2
+    assert select_outlier(both, reversed_).index == 2
 
 
 def test_select_falls_back_to_lowest_index():
     both = [Anomaly(2, "angle", -28.0, POINT), Anomaly(1, "distance", 26.0, POINT)]
-    assert select_outlier(both, []).index == 1
+    assert select_outlier(both, SCHEMA).index == 1
 
 
 def test_select_point_beats_collective():
@@ -133,24 +133,24 @@ def test_select_point_beats_collective():
         Anomaly(2, "angle", -18.0, COLLECTIVE, 1, 20.0),
         Anomaly(1, "distance", 26.0, POINT),
     ]
-    out = select_outlier(mixed, [Relationship(2, SLAVE, master=1)])
+    out = select_outlier(mixed, COUPLED)
     assert out.kind == POINT and out.index == 1
 
 
 def test_select_collective_only():
     only = [Anomaly(2, "angle", -18.0, COLLECTIVE, 1, 20.0)]
-    out = select_outlier(only, [Relationship(2, SLAVE, master=1)])
+    out = select_outlier(only, COUPLED)
     assert out.kind == COLLECTIVE and out.bucket == 20.0
-    assert select_outlier([], []) is None
+    assert select_outlier([], COUPLED) is None
 
 
 # ── Learning ───────────────────────────────────────────────────────────────
 
 
 def test_learn_value_steps_toward_neighbour():
-    out_high = Outlier(1, "distance", 24.0, POINT, "")
+    out_high = Anomaly(1, "distance", 24.0, POINT)
     assert learn_value(out_high, 20.0, 1.0).value == 23.0
-    out_low = Outlier(1, "distance", 13.0, POINT, "")
+    out_low = Anomaly(1, "distance", 13.0, POINT)
     assert learn_value(out_low, 15.0, 1.0).value == 14.0
     assert learn_value(out_high, 20.0, 0.5).value == 23.5
     assert learn_value(out_high, 24.0, 1.0) is None
@@ -170,7 +170,7 @@ def kb():
 
 def test_refine_applies_upper_bound(kb):
     td = _range_td()
-    out = Outlier(1, "distance", 24.0, POINT, "")
+    out = Anomaly(1, "distance", 24.0, POINT)
     lv = learn_value(out, 23.0, 1.0)
     result = refine(lv, out, kb, td, stamp=5)
     assert result.render() == "applied_temporary:maxdis(grp)"
@@ -180,7 +180,7 @@ def test_refine_applies_upper_bound(kb):
 
 def test_refine_applies_lower_bound(kb):
     td = _range_td()
-    out = Outlier(1, "distance", 13.0, POINT, "")
+    out = Anomaly(1, "distance", 13.0, POINT)
     lv = learn_value(out, 15.0, 1.0)
     result = refine(lv, out, kb, td)
     assert result.outcome == APPLIED_TEMPORARY and result.fluent == MINDIS
@@ -190,7 +190,7 @@ def test_refine_applies_lower_bound(kb):
 def test_refine_rejects_interior_value(kb):
     td = _range_td()
     kb.apply_temporary(MAXDIS, 26.0, stamp=3)
-    out = Outlier(1, "distance", 24.0, POINT, "")
+    out = Anomaly(1, "distance", 24.0, POINT)
     fake_lv = learn_value(out, 16.0, 5.0)  # lands at 19, inside the success range
     result = refine(fake_lv, out, kb, td)
     assert result.outcome == REJECTED_REVERTED
@@ -200,20 +200,20 @@ def test_refine_rejects_interior_value(kb):
 
 def test_refine_gap_targets_nearer_bound(kb):
     td = _td([(15, -10), (23, -10)])  # coverage gap between the extremes
-    near_upper = Outlier(1, "distance", 20.0, POINT, "")
+    near_upper = Anomaly(1, "distance", 20.0, POINT)
     result = refine(learn_value(near_upper, 23.0, 1.0), near_upper, kb, td)
     assert result.fluent == MAXDIS
-    near_lower = Outlier(1, "distance", 17.0, POINT, "")
+    near_lower = Anomaly(1, "distance", 17.0, POINT)
     result = refine(learn_value(near_lower, 15.0, 1.0), near_lower, kb, td)
     assert result.fluent == MINDIS
-    tie = Outlier(1, "distance", 19.0, POINT, "")
+    tie = Anomaly(1, "distance", 19.0, POINT)
     result = refine(learn_value(tie, 23.0, 1.0), tie, kb, td)
     assert result.fluent == MAXDIS
 
 
 def test_refine_collective_targets_bucketed_upper(kb):
     td = _td([(18, -18), (20, -5), (20.4, -8)])
-    out = Outlier(2, "angle", -18.0, COLLECTIVE, "", 1, 20.0)
+    out = Anomaly(2, "angle", -18.0, COLLECTIVE, 1, 20.0)
     nn = td.nearest_neighbor(2, -18.0, bucket_by=1, bucket_value=20.0)
     assert nn == -8.0
     result = refine(learn_value(out, nn, 1.0), out, kb, td, stamp=7)
@@ -225,7 +225,7 @@ def test_refine_collective_targets_bucketed_upper(kb):
 def test_refine_interiority_is_bucket_local(kb):
     # angle -15 is interior to the full column but outside bucket 20's range
     td = _td([(18, -18), (18, -2), (20, -5), (20, -8)])
-    out = Outlier(2, "angle", -15.0, COLLECTIVE, "", 1, 20.0)
+    out = Anomaly(2, "angle", -15.0, COLLECTIVE, 1, 20.0)
     lv = learn_value(out, -8.0, 1.0)
     result = refine(lv, out, kb, td)
     assert result.outcome == APPLIED_TEMPORARY
@@ -234,7 +234,7 @@ def test_refine_interiority_is_bucket_local(kb):
 
 def test_refine_empty_bucket_is_noop(kb):
     td = _td([(18, -18)])
-    out = Outlier(2, "angle", -18.0, COLLECTIVE, "", 1, 25.0)
+    out = Anomaly(2, "angle", -18.0, COLLECTIVE, 1, 25.0)
     result = refine(learn_value(out, -17.0, 1.0), out, kb, td)
     assert result.outcome == NO_OP
     assert not kb.has_entry(MAXHW, 25.0)
@@ -268,8 +268,7 @@ def test_success_leaves_unmatched_temporary_pending(kb):
 
 
 def test_success_confirms_bucketed_temporary_on_bucket_match(kb):
-    kb.register_relationship(Relationship(2, SLAVE, master=1))
-    td = _range_td()
+    td = _range_td(schema=COUPLED)
     kb.apply_temporary(MAXHW, -17.0, stamp=9, condition=20.0)
 
     other_bucket = process_feedback(_success_fb(21.0, -17.0), kb, td)
@@ -295,7 +294,7 @@ def test_failure_full_pass_applies_bound(kb):
 def test_failure_with_full_coverage_is_undetected(kb):
     td = _range_td()
     report = process_feedback(_failure_fb(20.0, -10.0), kb, td)
-    assert report.undetected and report.note == "no anomaly found"
+    assert report.undetected and report.anomalies == [] and report.outlier is None
     assert report.refinement is None
 
 
@@ -303,7 +302,7 @@ def test_failure_without_history_is_undetected(kb):
     td = TrainingData(SCHEMA)
     report = process_feedback(_failure_fb(24.0, -10.0), kb, td)
     assert report.undetected
-    assert report.note == "no successful history for attribute"
+    assert report.outlier is not None and report.nn is None
 
 
 def test_failure_matching_neighbour_is_noop(kb):
@@ -312,7 +311,7 @@ def test_failure_matching_neighbour_is_noop(kb):
     report = process_feedback(_failure_fb(24.0, -10.0), kb, td)
     assert report.undetected
     assert report.refinement.outcome == NO_OP
-    assert report.note == "outlier equals nearest neighbour"
+    assert report.nn == 24.0 and report.lv is None
 
 
 def test_closed_loop_converges_to_true_bound(kb):
