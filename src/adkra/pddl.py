@@ -14,6 +14,7 @@ import itertools
 import math
 import operator
 import re
+import string
 from dataclasses import dataclass, field
 
 COMPARISON_OPS = {
@@ -123,24 +124,21 @@ class DomainModel:
     functions: tuple[PredicateSchema, ...]
     actions: tuple[ActionSchema, ...]
 
+    def __post_init__(self) -> None:
+        # Name tables, built once. Filled in reverse, so the first declaration
+        # of a name wins and _validate_domain finds a later one.
+        self._predicates = {p.name: p for p in reversed(self.predicates)}
+        self._functions = {fn_key(f.name): f for f in reversed(self.functions)}
+        self._actions = {a.name: a for a in reversed(self.actions)}
+
     def predicate(self, name: str) -> PredicateSchema | None:
-        for p in self.predicates:
-            if p.name == name:
-                return p
-        return None
+        return self._predicates.get(name)
 
     def function(self, name: str) -> PredicateSchema | None:
-        key = fn_key(name)
-        for f in self.functions:
-            if fn_key(f.name) == key:
-                return f
-        return None
+        return self._functions.get(fn_key(name))
 
     def action(self, name: str) -> ActionSchema | None:
-        for a in self.actions:
-            if a.name == name:
-                return a
-        return None
+        return self._actions.get(name)
 
 
 @dataclass
@@ -155,93 +153,58 @@ class ProblemInstance:
 
 # ── Tokenizer ─────────────────────────────────────────────────────────────
 
+_ID = r"[A-Za-z][A-Za-z0-9_\-]*"
+# Blanks and comments match outside the group, so findall gives "" for them.
+# Inside it the alternatives are tried in order, ending with any one
+# character, so every character of the text is read by some match.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]+|;[^\n]*|("
+    r"[()]"
+    rf"|[?:]{_ID}"
+    r"|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+    r"|<=|>=|[<>=]"
+    rf"|{_ID}|-"
+    r"|.)",
+    re.S,
+)
+# A token's kind follows from its first character: the one-character tokens
+# by their text, the longer ones by the character that starts them.
+_ASCII_KINDS = {**dict.fromkeys(string.ascii_letters, "id"), **dict.fromkeys(string.digits, "number")}
+_SHORT_KINDS = {"(": "lparen", ")": "rparen", "<": "op", ">": "op", "=": "op", "-": "id", **_ASCII_KINDS}
+_LONG_KINDS = {
+    "?": "var", ":": "keyword", "<": "op", ">": "op", "+": "number", "-": "number", ".": "number", **_ASCII_KINDS
+}
+_FOLDED_KINDS = frozenset(("var", "keyword", "id"))
+_BAD_START = {"?": "bad variable name", ":": "bad keyword"}
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # lparen rparen id keyword var number op
-    text: str
-    line: int
-    col: int
-
-
-_NUMBER_RE = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
-_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
-_OP_RE = re.compile(r"<=|>=|<|>|=")
+# (kind, text, index in the token list). Kinds: lparen rparen id keyword var
+# number op. Names are lower case; a token's line and column are worked out
+# from its index only for an error message.
+Token = tuple[str, str, int]
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "(":
-            tokens.append(Token("lparen", "(", line, col))
-            i += 1
-            col += 1
-            continue
-        if c == ")":
-            tokens.append(Token("rparen", ")", line, col))
-            i += 1
-            col += 1
-            continue
-        if c == "?":
-            m = _ID_RE.match(text, i + 1)
-            if not m:
-                raise PddlSyntaxError("bad variable name", line, col)
-            tok = "?" + m.group(0).lower()
-            tokens.append(Token("var", tok, line, col))
-            col += len(tok)
-            i = m.end()
-            continue
-        if c == ":":
-            m = _ID_RE.match(text, i + 1)
-            if not m:
-                raise PddlSyntaxError("bad keyword", line, col)
-            tok = ":" + m.group(0).lower()
-            tokens.append(Token("keyword", tok, line, col))
-            col += len(tok)
-            i = m.end()
-            continue
-        if c.isdigit() or (c in "+-." and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")):
-            m = _NUMBER_RE.match(text, i)
-            if m:
-                tokens.append(Token("number", m.group(0), line, col))
-                col += len(m.group(0))
-                i = m.end()
-                continue
-        m = _OP_RE.match(text, i)
-        if m:
-            tokens.append(Token("op", m.group(0), line, col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        m = _ID_RE.match(text, i)
-        if m:
-            tokens.append(Token("id", m.group(0).lower(), line, col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        if c == "-":
-            tokens.append(Token("id", "-", line, col))
-            i += 1
-            col += 1
-            continue
-        raise PddlSyntaxError(f"unexpected character {c!r}", line, col)
+    # filter drops the "" of blanks and comments.
+    for index, tok in enumerate(filter(None, _TOKEN_RE.findall(text))):
+        kind = (_LONG_KINDS if len(tok) > 1 else _SHORT_KINDS).get(tok[0])
+        if kind in _FOLDED_KINDS:
+            tok = tok.lower()
+        elif kind is None:
+            # Only a number or the catch-all can start with another character.
+            if not tok[0].isdecimal():
+                line, col = token_position(text, index)
+                raise PddlSyntaxError(_BAD_START.get(tok, f"unexpected character {tok!r}"), line, col)
+            kind = "number"
+        tokens.append((kind, tok, index))
     return tokens
+
+
+def token_position(text: str, index: int) -> tuple[int, int]:
+    """Line and column (both from 1) of the token ``tokenize(text)`` puts at ``index``."""
+    matches = (m for m in _TOKEN_RE.finditer(text) if m.lastindex)
+    offset = next(itertools.islice(matches, index, None)).start(1)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 # ── Parser ────────────────────────────────────────────────────────────────
@@ -249,14 +212,23 @@ def tokenize(text: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
 
+    def error(self, message: str, tok: Token) -> PddlSyntaxError:
+        return PddlSyntaxError(message, *token_position(self.text, tok[2]))
+
+    def line(self, tok: Token) -> int:
+        return token_position(self.text, tok[2])[0]
+
     def peek(self) -> Token:
-        if self.pos >= len(self.tokens):
-            last = self.tokens[-1] if self.tokens else Token("?", "", 1, 1)
-            raise PddlSyntaxError("unexpected end of input", last.line, last.col)
-        return self.tokens[self.pos]
+        try:
+            return self.tokens[self.pos]
+        except IndexError:
+            if not self.tokens:
+                raise PddlSyntaxError("unexpected end of input", 1, 1) from None
+            raise self.error("unexpected end of input", self.tokens[-1]) from None
 
     def next(self) -> Token:
         tok = self.peek()
@@ -265,9 +237,9 @@ class _Parser:
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
+        if tok[0] != kind or (text is not None and tok[1] != text):
             want = text if text is not None else kind
-            raise PddlSyntaxError(f"expected {want}, found {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"expected {want}, found {tok[1]!r}", tok)
         return tok
 
     def at_end(self) -> bool:
@@ -277,22 +249,20 @@ class _Parser:
     def typed_list(self, item_kind: str) -> list[tuple[str, str]]:
         out: list[tuple[str, str]] = []
         pending: list[str] = []
-        while self.peek().kind != "rparen":
-            tok = self.peek()
-            if tok.kind == "id" and tok.text == "-":
+        while (tok := self.peek())[0] != "rparen":
+            if tok[:2] == ("id", "-"):
                 self.next()
-                typ = self.expect("id")
+                typ = self.expect("id")[1]
                 if not pending:
-                    raise PddlSyntaxError("dangling type marker", tok.line, tok.col)
-                out.extend((name, typ.text) for name in pending)
+                    raise self.error("dangling type marker", tok)
+                out.extend((name, typ) for name in pending)
                 pending = []
-            elif tok.kind == item_kind:
-                pending.append(self.next().text)
+            elif tok[0] == item_kind:
+                pending.append(self.next()[1])
             else:
-                raise PddlSyntaxError(f"expected {item_kind} or '-', found {tok.text!r}", tok.line, tok.col)
+                raise self.error(f"expected {item_kind} or '-', found {tok[1]!r}", tok)
         if pending:
-            tok = self.peek()
-            raise PddlSyntaxError("untyped name in typed list (typing is required)", tok.line, tok.col)
+            raise self.error("untyped name in typed list (typing is required)", tok)
         return out
 
     def literal(self, head: str = "id", ground: bool = False, numbers: str = "") -> Atom:
@@ -303,20 +273,18 @@ class _Parser:
         argument is an unsupported numeric constant in that construct.
         """
         name = self.next()
-        if name.kind != "id":
-            raise PddlSyntaxError(f"expected {head}, found {name.text!r}", name.line, name.col)
+        if name[0] != "id":
+            raise self.error(f"expected {head}, found {name[1]!r}", name)
         kinds = ("id",) if ground else ("id", "var")
         args: list[str] = []
-        while self.peek().kind != "rparen":
-            arg = self.next()
-            if numbers and arg.kind == "number":
-                raise UnsupportedConstructError(f"numeric constant in {numbers}", arg.line)
-            if arg.kind not in kinds:
+        while (arg := self.next())[0] != "rparen":
+            if numbers and arg[0] == "number":
+                raise UnsupportedConstructError(f"numeric constant in {numbers}", self.line(arg))
+            if arg[0] not in kinds:
                 noun = "object" if ground else "argument"
-                raise PddlSyntaxError(f"expected {noun}, found {arg.text!r}", arg.line, arg.col)
-            args.append(arg.text)
-        self.expect("rparen")
-        return Atom(name.text, tuple(args))
+                raise self.error(f"expected {noun}, found {arg[1]!r}", arg)
+            args.append(arg[1])
+        return Atom(name[1], tuple(args))
 
 
 def _conjuncts(p: _Parser):
@@ -326,9 +294,9 @@ def _conjuncts(p: _Parser):
     caller reads the conjunct through its closing ``)`` before resuming.
     """
     p.expect("lparen")
-    if p.peek().kind == "id" and p.peek().text == "and":
+    if p.peek()[:2] == ("id", "and"):
         p.next()
-        while p.peek().kind != "rparen":
+        while p.peek()[0] != "rparen":
             p.expect("lparen")
             yield p.peek()
         p.expect("rparen")
@@ -340,21 +308,22 @@ def _parse_precondition(p: _Parser) -> Precondition:
     atoms: list[Atom] = []
     comparisons: list[Comparison] = []
     for tok in _conjuncts(p):
-        if tok.kind == "op":
-            op = p.next().text
-            if op == "=":
-                raise UnsupportedConstructError("equality comparison in precondition", tok.line)
+        kind, text, _ = tok
+        if kind == "op":
+            p.next()
+            if text == "=":
+                raise UnsupportedConstructError("equality comparison in precondition", p.line(tok))
             lhs = _function_term(p)
             closer = p.peek()
-            if closer.kind == "rparen":
-                raise PddlSyntaxError("comparison missing second argument", closer.line, closer.col)
+            if closer[0] == "rparen":
+                raise p.error("comparison missing second argument", closer)
             rhs = _function_term(p)
             p.expect("rparen")
-            comparisons.append(Comparison(op, lhs, rhs))
-        elif tok.kind == "id" and tok.text == "not":
-            raise UnsupportedConstructError("negative precondition", tok.line)
-        elif tok.kind == "id" and tok.text in ("or", "imply", "forall", "exists", "when"):
-            raise UnsupportedConstructError(tok.text, tok.line)
+            comparisons.append(Comparison(text, lhs, rhs))
+        elif kind == "id" and text == "not":
+            raise UnsupportedConstructError("negative precondition", p.line(tok))
+        elif kind == "id" and text in ("or", "imply", "forall", "exists", "when"):
+            raise UnsupportedConstructError(text, p.line(tok))
         else:
             atoms.append(p.literal("predicate", numbers="precondition"))
     return Precondition(tuple(atoms), tuple(comparisons))
@@ -362,8 +331,8 @@ def _parse_precondition(p: _Parser) -> Precondition:
 
 def _function_term(p: _Parser) -> Atom:
     tok = p.peek()
-    if tok.kind == "number":
-        raise UnsupportedConstructError("numeric constant in comparison", tok.line)
+    if tok[0] == "number":
+        raise UnsupportedConstructError("numeric constant in comparison", p.line(tok))
     p.expect("lparen")
     return p.literal()
 
@@ -372,11 +341,12 @@ def _parse_effect(p: _Parser) -> Effect:
     adds: list[Atom] = []
     dels: list[Atom] = []
     for tok in _conjuncts(p):
-        if tok.kind == "id" and tok.text in ("increase", "decrease", "assign", "scale-up", "scale-down"):
-            raise UnsupportedConstructError(f"numeric effect '{tok.text}'", tok.line)
-        if tok.kind == "id" and tok.text in ("when", "forall"):
-            raise UnsupportedConstructError(tok.text, tok.line)
-        if tok.kind == "id" and tok.text == "not":
+        kind, text, _ = tok
+        if kind == "id" and text in ("increase", "decrease", "assign", "scale-up", "scale-down"):
+            raise UnsupportedConstructError(f"numeric effect '{text}'", p.line(tok))
+        if kind == "id" and text in ("when", "forall"):
+            raise UnsupportedConstructError(text, p.line(tok))
+        if kind == "id" and text == "not":
             p.next()
             p.expect("lparen")
             dels.append(p.literal())
@@ -389,21 +359,51 @@ def _parse_effect(p: _Parser) -> Effect:
 def _parse_goal(p: _Parser) -> tuple[Atom, ...]:
     atoms: list[Atom] = []
     for tok in _conjuncts(p):
-        if tok.kind == "op":
-            raise UnsupportedConstructError("comparison in goal", tok.line)
+        if tok[0] == "op":
+            raise UnsupportedConstructError("comparison in goal", p.line(tok))
         atoms.append(p.literal())
     return tuple(atoms)
+
+
+def _open_define(p: _Parser, what: str) -> str:
+    """Read ``(define (what name)`` and return the name."""
+    p.expect("lparen")
+    p.expect("id", "define")
+    p.expect("lparen")
+    p.expect("id", what)
+    name = p.expect("id")[1]
+    p.expect("rparen")
+    return name
+
+
+def _sections(p: _Parser, want: str, single: tuple[str, ...]):
+    """Yield the keyword token of each section, its ``(`` and keyword read.
+
+    Then read the file's closing ``)`` and reject trailing input. ``want``
+    names what a bad keyword was expected to be. A section named in
+    ``single`` may appear once: a second one would silently replace the first.
+    """
+    seen = set()
+    while p.peek()[0] != "rparen":
+        p.expect("lparen")
+        section = p.next()
+        if section[0] != "keyword":
+            raise p.error(f"expected {want}, found {section[1]!r}", section)
+        if section[1] in seen:
+            raise PddlSemanticError(f"duplicate section {section[1]}")
+        if section[1] in single:
+            seen.add(section[1])
+        yield section
+    p.expect("rparen")
+    if not p.at_end():
+        tok = p.peek()
+        raise p.error(f"trailing input {tok[1]!r}", tok)
 
 
 def parse_domain(text: str) -> DomainModel:
     """Parse and validate a domain in the supported fragment."""
     p = _Parser(text)
-    p.expect("lparen")
-    p.expect("id", "define")
-    p.expect("lparen")
-    p.expect("id", "domain")
-    name = p.expect("id").text
-    p.expect("rparen")
+    name = _open_define(p, "domain")
 
     requirements: tuple[str, ...] = ()
     types: tuple[str, ...] = ()
@@ -411,66 +411,59 @@ def parse_domain(text: str) -> DomainModel:
     functions: list[PredicateSchema] = []
     actions: list[ActionSchema] = []
 
-    while p.peek().kind != "rparen":
-        p.expect("lparen")
-        section = p.next()
-        if section.kind != "keyword":
-            raise PddlSyntaxError(f"expected section keyword, found {section.text!r}", section.line, section.col)
-        if section.text == ":requirements":
+    for section in _sections(p, "section keyword", (":requirements", ":types")):
+        keyword = section[1]
+        if keyword == ":requirements":
             reqs = []
-            while p.peek().kind != "rparen":
+            while p.peek()[0] != "rparen":
                 r = p.expect("keyword")
-                if r.text not in SUPPORTED_REQUIREMENTS:
-                    raise UnsupportedConstructError(f"requirement {r.text}", r.line)
-                reqs.append(r.text)
+                if r[1] not in SUPPORTED_REQUIREMENTS:
+                    raise UnsupportedConstructError(f"requirement {r[1]}", p.line(r))
+                reqs.append(r[1])
             requirements = tuple(reqs)
             p.expect("rparen")
-        elif section.text == ":types":
+        elif keyword == ":types":
             ts = []
-            while p.peek().kind != "rparen":
+            while p.peek()[0] != "rparen":
                 tok = p.next()
-                if tok.kind == "id" and tok.text == "-":
-                    raise UnsupportedConstructError("type hierarchy", tok.line)
-                if tok.kind != "id":
-                    raise PddlSyntaxError(f"expected type name, found {tok.text!r}", tok.line, tok.col)
-                ts.append(tok.text)
+                if tok[:2] == ("id", "-"):
+                    raise UnsupportedConstructError("type hierarchy", p.line(tok))
+                if tok[0] != "id":
+                    raise p.error(f"expected type name, found {tok[1]!r}", tok)
+                ts.append(tok[1])
             types = tuple(ts)
             p.expect("rparen")
-        elif section.text in (":predicates", ":functions"):
-            declared = predicates if section.text == ":predicates" else functions
-            while p.peek().kind != "rparen":
+        elif keyword in (":predicates", ":functions"):
+            declared = predicates if keyword == ":predicates" else functions
+            while p.peek()[0] != "rparen":
                 p.expect("lparen")
-                dname = p.expect("id").text
+                dname = p.expect("id")[1]
                 declared.append(PredicateSchema(dname, tuple(p.typed_list("var"))))
                 p.expect("rparen")
             p.expect("rparen")
-        elif section.text == ":action":
-            aname = p.expect("id").text
+        elif keyword == ":action":
+            aname = p.expect("id")[1]
             params: tuple[tuple[str, str], ...] = ()
             precondition = Precondition((), ())
             effect = Effect((), ())
-            while p.peek().kind != "rparen":
+            while p.peek()[0] != "rparen":
                 part = p.expect("keyword")
-                if part.text == ":parameters":
+                if part[1] == ":parameters":
                     p.expect("lparen")
                     params = tuple(p.typed_list("var"))
                     p.expect("rparen")
-                elif part.text == ":precondition":
+                elif part[1] == ":precondition":
                     precondition = _parse_precondition(p)
-                elif part.text == ":effect":
+                elif part[1] == ":effect":
                     effect = _parse_effect(p)
                 else:
-                    raise UnsupportedConstructError(f"action part {part.text}", part.line)
+                    raise UnsupportedConstructError(f"action part {part[1]}", p.line(part))
             p.expect("rparen")
             actions.append(ActionSchema(aname, params, precondition, effect))
-        elif section.text in (":durative-action", ":constraints", ":derived", ":constants"):
-            raise UnsupportedConstructError(section.text, section.line)
+        elif keyword in (":durative-action", ":constraints", ":derived", ":constants"):
+            raise UnsupportedConstructError(keyword, p.line(section))
         else:
-            raise UnsupportedConstructError(f"section {section.text}", section.line)
-    p.expect("rparen")
-    if not p.at_end():
-        tok = p.peek()
-        raise PddlSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+            raise UnsupportedConstructError(f"section {keyword}", p.line(section))
 
     model = DomainModel(name, requirements, types, tuple(predicates), tuple(functions), tuple(actions))
     _validate_domain(model)
@@ -547,12 +540,7 @@ def _canonicalise_functions(d: DomainModel) -> DomainModel:
 def parse_problem(text: str, domain: DomainModel) -> ProblemInstance:
     """Parse a problem and validate it against the domain."""
     p = _Parser(text)
-    p.expect("lparen")
-    p.expect("id", "define")
-    p.expect("lparen")
-    p.expect("id", "problem")
-    name = p.expect("id").text
-    p.expect("rparen")
+    name = _open_define(p, "problem")
 
     domain_name = ""
     objects: tuple[tuple[str, str], ...] = ()
@@ -560,26 +548,24 @@ def parse_problem(text: str, domain: DomainModel) -> ProblemInstance:
     init_fluents: dict[Atom, float] = {}
     goal: tuple[Atom, ...] = ()
 
-    while p.peek().kind != "rparen":
-        p.expect("lparen")
-        section = p.expect("keyword")
-        if section.text == ":domain":
-            domain_name = p.expect("id").text
+    for section in _sections(p, "keyword", (":domain", ":objects", ":goal")):
+        keyword = section[1]
+        if keyword == ":domain":
+            domain_name = p.expect("id")[1]
             p.expect("rparen")
-        elif section.text == ":objects":
+        elif keyword == ":objects":
             objects = tuple(p.typed_list("id"))
             p.expect("rparen")
-        elif section.text == ":init":
-            while p.peek().kind != "rparen":
+        elif keyword == ":init":
+            while p.peek()[0] != "rparen":
                 p.expect("lparen")
-                tok = p.peek()
-                if tok.kind == "op" and tok.text == "=":
+                if p.peek()[:2] == ("op", "="):
                     p.next()
                     p.expect("lparen")
                     term = p.literal()
                     val = p.next()
-                    if val.kind != "number":
-                        raise PddlSyntaxError(f"expected number, found {val.text!r}", val.line, val.col)
+                    if val[0] != "number":
+                        raise p.error(f"expected number, found {val[1]!r}", val)
                     p.expect("rparen")
                     fs = domain.function(term.name)
                     if fs is None:
@@ -587,22 +573,18 @@ def parse_problem(text: str, domain: DomainModel) -> ProblemInstance:
                     key = Atom(fs.name, term.args)
                     if key in init_fluents:
                         raise PddlSemanticError(f"duplicate assignment for {key.render()}")
-                    value = float(val.text)
+                    value = float(val[1])
                     if not math.isfinite(value):
-                        raise PddlSemanticError(f"non-finite value {val.text} for {key.render()} in :init")
+                        raise PddlSemanticError(f"non-finite value {val[1]} for {key.render()} in :init")
                     init_fluents[key] = value
                 else:
                     init_facts.add(p.literal("init literal", ground=True))
             p.expect("rparen")
-        elif section.text == ":goal":
+        elif keyword == ":goal":
             goal = _parse_goal(p)
             p.expect("rparen")
         else:
-            raise UnsupportedConstructError(f"section {section.text}", section.line)
-    p.expect("rparen")
-    if not p.at_end():
-        tok = p.peek()
-        raise PddlSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
+            raise UnsupportedConstructError(f"section {keyword}", p.line(section))
 
     problem = ProblemInstance(name, domain_name, objects, frozenset(init_facts), init_fluents, goal)
     validate_problem(domain, problem)
@@ -632,21 +614,26 @@ def validate_problem(domain: DomainModel, problem: ProblemInstance) -> None:
 
     for atom in problem.init_facts:
         check_ground(atom, "predicate", ":init")
+    assigned: dict[str, set[tuple[str, ...]]] = {}
     for term in problem.init_fluents:
         check_ground(term, "function", ":init")
+        assigned.setdefault(term.name, set()).add(term.args)
     for atom in problem.goal:
         check_ground(atom, "predicate", ":goal")
 
     # Every fluent any grounded precondition can reference must be assigned.
     for action in domain.actions:
-        term = _first_unassigned(action, problem)
+        term = _first_unassigned(action, problem, assigned)
         if term is not None:
             raise PddlSemanticError(f"fluent unassigned: {term.render()}")
 
 
-def _first_unassigned(action: ActionSchema, problem: ProblemInstance) -> Atom | None:
+def _first_unassigned(
+    action: ActionSchema, problem: ProblemInstance, assigned: dict[str, set[tuple[str, ...]]]
+) -> Atom | None:
     """The first unassigned fluent met over the action's bindings, or None.
 
+    ``assigned`` holds the argument tuples assigned to each function name.
     "First" is in the order of ``iter_bindings``, then comparisons, lhs before
     rhs. A side depends only on its own variables, so each is grounded over
     their product alone. The earliest full binding at which a side fails
@@ -656,12 +643,18 @@ def _first_unassigned(action: ActionSchema, problem: ProblemInstance) -> Atom | 
     pools = [[n for n, t in problem.objects if t == typ] for _, typ in action.params]
     if not all(pools):
         return None  # no binding at all
+    names = [v for v, _ in action.params]
     first: tuple[list[int], int, Atom] | None = None
     sides = [side for c in action.precondition.comparisons for side in (c.lhs, c.rhs)]
     for order, side in enumerate(sides):
-        used = [i for i, (v, _) in enumerate(action.params) if v in side.args]
+        # Most sides have every grounding assigned: check that in bulk, over
+        # each argument's objects (a superset when a variable repeats).
+        arg_pools = [pools[names.index(a)] if a in names else [a] for a in side.args]
+        if assigned.get(side.name, set()).issuperset(itertools.product(*arg_pools)):
+            continue
+        used = [i for i, v in enumerate(names) if v in side.args]
         for combo in itertools.product(*(range(len(pools[i])) for i in used)):
-            binding = {action.params[i][0]: pools[i][j] for i, j in zip(used, combo)}
+            binding = {names[i]: pools[i][j] for i, j in zip(used, combo)}
             term = ground_atom(side, binding)
             if term not in problem.init_fluents:
                 at = [0] * len(pools)
@@ -688,7 +681,7 @@ def iter_bindings(params: tuple[tuple[str, str], ...], objects: tuple[tuple[str,
 
 
 def ground_atom(atom: Atom, binding: dict[str, str]) -> Atom:
-    return Atom(atom.name, tuple(binding.get(a, a) for a in atom.args))
+    return Atom(atom.name, tuple(map(binding.get, atom.args, atom.args)))
 
 
 def apply_effect(facts: frozenset[Atom], eff: Effect) -> frozenset[Atom]:

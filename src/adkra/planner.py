@@ -1,10 +1,12 @@
 """Grounded breadth-first planner over the supported PDDL subset.
 
 State spaces here are tiny, so the planner grounds every type-correct action
-up front. Numeric fluents never change during a plan, so an action whose
-comparisons fail on the problem's fluents is never built. The search runs
-over facts-only states, breadth-first. Ties break on the ground action name,
-which makes plans deterministic.
+up front. Numeric fluents never change during a plan, and neither do the
+atoms of a predicate no action adds or deletes, so an action whose
+comparisons fail on the problem's fluents, or that needs such an atom the
+problem lacks, is never built. The search runs over facts-only states,
+breadth-first. Ties break on the ground action name, which makes plans
+deterministic.
 """
 
 from __future__ import annotations
@@ -70,33 +72,37 @@ class ValidationResult:
 
 
 def ground_actions(domain: DomainModel, problem: ProblemInstance) -> list[GroundAction]:
-    """All type-correct instantiations whose numeric gates hold on ``problem``.
+    """The type-correct instantiations that can ever apply on ``problem``, sorted by name.
 
-    Instantiations that delete only atoms they add, and add only atoms their
-    precondition requires (self-loop moves), are dropped: effects delete
-    before they add, so applying one gives back the state it applied in. So
-    are those with a failing comparison; the fluents never change, so they
-    can never apply.
+    Three kinds are dropped, checked in this order, so a binding's atoms are
+    built only once the first two checks pass:
+    - those whose precondition holds an atom of a static predicate (one no
+      action adds or deletes) that ``:init`` lacks: no state ever holds it;
+    - those with a failing comparison: the fluents never change either;
+    - self-loop moves, which delete only atoms they add and add only atoms
+      their precondition requires: effects delete before they add, so
+      applying one gives back the state it applied in.
     """
+    changed = {a.name for schema in domain.actions for a in schema.effect.adds + schema.effect.dels}
+    held: dict[str, set[tuple[str, ...]]] = {}
+    for fact in problem.init_facts:
+        if fact.name not in changed:
+            held.setdefault(fact.name, set()).add(fact.args)
     out: list[GroundAction] = []
     for schema in domain.actions:
+        static = [a for a in schema.precondition.atoms if a.name not in changed]
         for binding in iter_bindings(schema.params, problem.objects):
-            adds = tuple(ground_atom(a, binding) for a in schema.effect.adds)
-            dels = tuple(ground_atom(a, binding) for a in schema.effect.dels)
-            if set(dels) <= set(adds) and set(adds) <= {
-                ground_atom(a, binding) for a in schema.precondition.atoms
-            }:
+            if static and any(tuple(map(binding.get, a.args, a.args)) not in held.get(a.name, ()) for a in static):
                 continue
             if _failed_gate(schema, binding, problem) is not None:
                 continue
-            out.append(
-                GroundAction(
-                    schema=schema.name,
-                    args=tuple(binding[p] for p, _t in schema.params),
-                    atoms=tuple(ground_atom(a, binding) for a in schema.precondition.atoms),
-                    effect=Effect(adds, dels),
-                )
-            )
+            atoms = tuple(ground_atom(a, binding) for a in schema.precondition.atoms)
+            adds = tuple(ground_atom(a, binding) for a in schema.effect.adds)
+            dels = tuple(ground_atom(a, binding) for a in schema.effect.dels)
+            if set(dels) <= set(adds) <= set(atoms):
+                continue
+            args = tuple(binding[v] for v, _t in schema.params)
+            out.append(GroundAction(schema.name, args, atoms, Effect(adds, dels)))
     out.sort(key=lambda ga: ga.name)
     return out
 

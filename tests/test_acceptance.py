@@ -8,6 +8,8 @@ import pathlib
 import random
 import time
 
+import pytest
+
 from adkra import defaults
 from adkra.experience import FAILURE, SUCCESS, AttributeVector, TrainingData
 from adkra.harness import ExperimentConfig, emit_report, run_experiment
@@ -36,6 +38,20 @@ def test_overstated_distance_bound_converges_exactly():
     assert report.kb.status(defaults.MAXDIS) == "confirmed"
     assert report.phase2_failures == 0
     assert elapsed < 5.0
+
+
+# Known defect: at these seeds, once maxdis is a temporary 24, every later
+# failure quantizes into a distance bucket that successes already cover (at
+# 40028, failures at 23.0-23.5 cm share the bucket of successes at 22.5-23.0),
+# so the detector stays silent and maxdis stays at 24. A change that makes them
+# converge turns this test into an unexpected pass, which fails the suite
+# (xfail_strict).
+@pytest.mark.xfail(strict=True, reason="failures the distance grid cannot see leave maxdis at a temporary 24")
+@pytest.mark.parametrize("seed", [40028, 20065, 70085])
+def test_overstated_distance_bound_converges_at_grid_blind_seeds(seed):
+    report = run_experiment(ExperimentConfig(kind="distance", episodes=100, seed=seed, warmup_successes=30))
+    assert report.kb.get_effective_value(defaults.MAXDIS) in (22.0, 23.0)
+    assert report.phase2_failures == 0
 
 
 def test_understated_angle_bound_converges():

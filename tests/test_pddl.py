@@ -1,8 +1,11 @@
 import itertools
 import pathlib
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adkra.pddl import (
     ActionSchema,
@@ -25,6 +28,8 @@ from adkra.pddl import (
     parse_problem,
     print_domain,
     print_problem,
+    token_position,
+    tokenize,
     validate_problem,
 )
 
@@ -268,6 +273,113 @@ def test_unassigned_fluent_report_matches_full_grounding():
     assert raised > 100
 
 
+_REF_NUMBER_RE = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+_REF_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
+_REF_OP_RE = re.compile(r"<=|>=|<|>|=")
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The per-character scanner the regex tokenizer replaced: (kind, text, line, col) per token."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == "(":
+            tokens.append(("lparen", "(", line, col))
+            i += 1
+            col += 1
+            continue
+        if c == ")":
+            tokens.append(("rparen", ")", line, col))
+            i += 1
+            col += 1
+            continue
+        if c == "?":
+            m = _REF_ID_RE.match(text, i + 1)
+            if not m:
+                raise PddlSyntaxError("bad variable name", line, col)
+            tok = "?" + m.group(0).lower()
+            tokens.append(("var", tok, line, col))
+            col += len(tok)
+            i = m.end()
+            continue
+        if c == ":":
+            m = _REF_ID_RE.match(text, i + 1)
+            if not m:
+                raise PddlSyntaxError("bad keyword", line, col)
+            tok = ":" + m.group(0).lower()
+            tokens.append(("keyword", tok, line, col))
+            col += len(tok)
+            i = m.end()
+            continue
+        if c.isdigit() or (c in "+-." and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")):
+            m = _REF_NUMBER_RE.match(text, i)
+            if m:
+                tokens.append(("number", m.group(0), line, col))
+                col += len(m.group(0))
+                i = m.end()
+                continue
+        m = _REF_OP_RE.match(text, i)
+        if m:
+            tokens.append(("op", m.group(0), line, col))
+            col += len(m.group(0))
+            i = m.end()
+            continue
+        m = _REF_ID_RE.match(text, i)
+        if m:
+            tokens.append(("id", m.group(0).lower(), line, col))
+            col += len(m.group(0))
+            i = m.end()
+            continue
+        if c == "-":
+            tokens.append(("id", "-", line, col))
+            i += 1
+            col += 1
+            continue
+        raise PddlSyntaxError(f"unexpected character {c!r}", line, col)
+    return tokens
+
+
+def _scan(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except PddlError as err:
+        return type(err), str(err)
+
+
+def _positioned_tokens(text):
+    return [(kind, tok, *token_position(text, index)) for kind, tok, index in tokenize(text)]
+
+
+# Edge pieces: '?' or ':' with no name, number look-alikes, an overflowing
+# exponent, blanks and comments (also trailing), and digits that are not ASCII
+# ('²' is a digit to str.isdigit but not to \d; '٣' is a decimal digit).
+_TOKEN_PIECES = [
+    "(", ")", "?", ":", "?x", ":Key", "+", "-", ".", "+.", "-.5", "..", "1e400", "2E-3", "7",
+    "e", "Ab_c-1", "<", "=", ">", "<=", ">=", " ", "\t", "\r", "\n", ";", "; note", "²", "٣", "\x0c",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=14).map("".join), st.text(max_size=20)))
+def test_regex_tokenizer_matches_the_per_character_scanner(text):
+    assert _scan(_positioned_tokens, text) == _scan(_reference_tokenize, text)
+
+
 # Every error the readers and checks raise, pinned by class and full text.
 _ERR_DOMAIN = (
     "(define (domain x) (:types t u) (:predicates {preds}) (:functions {fns})"
@@ -329,6 +441,12 @@ _ERROR_CASES = [
     ("goal-type", "problem", {"goal": "(q k o)"}, PddlSemanticError, "object k has type u, q wants t"),
     ("unassigned", "problem", {"init": "(p o) (= (f o) 1)"}, PddlSemanticError, "fluent unassigned: (g o)"),
     ("unassigned-two", "problem", {"init": "(p o)"}, PddlSemanticError, "fluent unassigned: (f o)"),
+    # A repeated single-valued section would silently replace the first.
+    ("dup-types", "domain", {"fns": "(f ?a - t) (g ?a - t)) (:types v"}, PddlSemanticError, "duplicate section :types"),
+    ("dup-requirements", "domain", {"fns": "(f ?a - t) (g ?a - t)) (:requirements :strips) (:requirements :typing"}, PddlSemanticError, "duplicate section :requirements"),
+    ("dup-objects", "problem", {"init": "(p o) (= (f o) 1) (= (g o) 2)) (:objects w - t"}, PddlSemanticError, "duplicate section :objects"),
+    ("dup-goal", "problem", {"goal": "(and (q o k))) (:goal (q o k)"}, PddlSemanticError, "duplicate section :goal"),
+    ("dup-domain", "problem", {"init": "(p o) (= (f o) 1) (= (g o) 2)) (:domain x"}, PddlSemanticError, "duplicate section :domain"),
 ]
 
 

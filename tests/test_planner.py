@@ -54,7 +54,9 @@ def test_grounding_prunes_self_loops_and_sorts(domain, faulty):
     gotos = [ga for ga in actions if ga.schema == "goto"]
     grips = [ga for ga in actions if ga.schema == "grip"]
     assert len(gotos) == 20  # 5x5 minus the five stay-put moves
-    assert len(grips) == 8  # of 25, the pairs 16, 20 or 24 cm apart, inside (mindis, maxdis)
+    # Of 25, only the five ending at the cup's waypoint wp1 can hold (pos is
+    # static); of those, wp4 (20 cm) and wp2 (24 cm) lie inside (mindis, maxdis).
+    assert [ga.args[2:4] for ga in grips] == [("wp2", "wp1"), ("wp4", "wp1")]
     names = [ga.name for ga in actions]
     assert names == sorted(names)
 
@@ -200,6 +202,58 @@ def test_pruned_grounding_plans_like_a_search_that_checks_every_gate(domain, fau
             plan = find_plan(domain, problem)
             assert _names(plan) == want
             assert validate_plan(domain, problem, plan)
+    assert min(outcomes.values()) > 100, outcomes
+
+
+ROADS_DOMAIN = parse_domain(
+    """
+    (define (domain roads)
+      (:requirements :strips :typing :fluents)
+      (:types place truck)
+      (:predicates (at ?t - truck ?p - place) (road ?a - place ?b - place)
+                   (depot ?p - place) (stocked ?p - place))
+      (:functions (length ?a - place ?b - place) (range ?t - truck))
+      (:action drive
+        :parameters (?t - truck ?a - place ?b - place)
+        :precondition (and (at ?t ?a) (road ?a ?b) (< (length ?a ?b) (range ?t)))
+        :effect (and (at ?t ?b) (not (at ?t ?a))))
+      (:action stock
+        :parameters (?t - truck ?p - place)
+        :precondition (and (at ?t ?p) (depot ?p))
+        :effect (and (stocked ?p))))
+    """
+)
+
+
+def test_static_prune_plans_like_a_search_that_grounds_every_binding():
+    # road and depot are static: no action adds or deletes them. Random maps
+    # (self-roads included, some without any depot) with gates often on the
+    # bound, against the reference that keeps every binding.
+    rng = random.Random(11)
+    outcomes = {"plan": 0, "none": 0}
+    for _ in range(300):
+        places = [f"p{i}" for i in range(rng.randint(2, 5))]
+        trucks = [f"t{i}" for i in range(rng.randint(1, 2))]
+        objects = [(p, "place") for p in places] + [(t, "truck") for t in trucks]
+        rng.shuffle(objects)
+        facts = {Atom("at", (t, rng.choice(places))) for t in trucks}
+        facts |= {Atom("road", (a, b)) for a in places for b in places if rng.random() < 0.5}
+        facts |= {Atom("depot", (p,)) for p in places if rng.random() < 0.6}
+        fluents = {Atom("length", (a, b)): float(rng.randint(0, 6)) for a in places for b in places}
+        fluents |= {Atom("range", (t,)): float(rng.randint(0, 8)) for t in trucks}
+        problem = ProblemInstance(
+            "r", "roads", tuple(objects), frozenset(facts), fluents, (Atom("stocked", (rng.choice(places),)),)
+        )
+        want = _reference_plan(ROADS_DOMAIN, problem)
+        if want is None:
+            outcomes["none"] += 1
+            with pytest.raises(NoPlanFound):
+                find_plan(ROADS_DOMAIN, problem)
+        else:
+            outcomes["plan"] += 1
+            plan = find_plan(ROADS_DOMAIN, problem)
+            assert _names(plan) == want
+            assert validate_plan(ROADS_DOMAIN, problem, plan)
     assert min(outcomes.values()) > 100, outcomes
 
 
