@@ -39,6 +39,7 @@ _INPUT_ERRORS = (
     KnowledgeBaseError,
     ExperienceError,
     OSError,
+    UnicodeDecodeError,
 )
 
 
@@ -65,7 +66,7 @@ def _fault_spec(text: str) -> tuple[str, float]:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="adkra", description=__doc__)
     parser.add_argument("--version", action="version", version=f"adkra {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = sub.add_parser("parse", help="validate PDDL files and print the canonical form")
     p.add_argument("domain")
@@ -176,9 +177,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

@@ -133,14 +133,14 @@ class TrainingData:
         attr: int,
         bucket_by: int | None = None,
         bucket_value: float | None = None,
-    ) -> tuple[float, float] | None:
-        """(min, max) of the quantized column, or None if it is empty.
+    ) -> tuple[float, float]:
+        """(min, max) of the quantized column.
 
         Exact from the raw extremes because quantization is monotone.
         """
         view = self._sorted_column(attr, bucket_by, bucket_value)
         if not view:
-            return None
+            raise EmptyColumnError(f"no stored values for attribute {attr}")
         return self.schema.quantize(attr, view[0]), self.schema.quantize(attr, view[-1])
 
     def nearest_neighbor(
@@ -175,35 +175,10 @@ class TrainingData:
             return candidates[-1]
         return candidates[0]
 
-    # -- persistence ----------------------------------------------------------
+    # -- the run file -------------------------------------------------------
 
     def save(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["episode"] + [s.name for s in self.schema.attributes] + ["outcome"])
             w.writerows([row.episode, *map(repr, row.values), row.outcome] for row in self.rows)
-
-    @classmethod
-    def load(cls, path: str, schema: AttributeSchema) -> "TrainingData":
-        vectors: list[AttributeVector] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            want = ["episode"] + [s.name for s in schema.attributes] + ["outcome"]
-            if header != want:
-                raise ExperienceError(f"{path}: unexpected header {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(want):
-                    raise ExperienceError(f"{path}: bad row at line {lineno}")
-                try:
-                    episode = int(row[0])
-                    values = tuple(float(v) for v in row[1:-1])
-                except ValueError as exc:
-                    raise ExperienceError(f"{path}: bad row at line {lineno}: {exc}") from None
-                outcome = row[-1]
-                if outcome != SUCCESS:
-                    raise ExperienceError(f"{path}: non-success outcome at line {lineno}")
-                vectors.append(AttributeVector(values, outcome, episode))
-        td = cls(schema)
-        td.extend(vectors)
-        return td

@@ -22,8 +22,9 @@ from . import defaults
 from .experience import FAILURE, SUCCESS, AttributeVector, TrainingData
 from .instantiate import default_domain, instantiate_problem
 from .kb import AttributeSchema, KnowledgeBase
+from .pddl import format_number
 from .planner import NoPlanFound, find_plan
-from .reasoner import StepReport, format_number, process_feedback
+from .reasoner import StepReport, process_feedback
 from .world import (
     GroundTruthEnvelope,
     NoiseModel,
@@ -523,6 +524,11 @@ def load_scored_events(episodes_csv: str) -> list[tuple[frozenset[str], str | No
         if reader.fieldnames != EPISODE_FIELDS:
             raise HarnessError(f"{episodes_csv}: unexpected header {reader.fieldnames}")
         for row in reader:
+            # DictReader files extra fields under None and fills missing ones with None
+            if None in row or None in row.values():
+                raise HarnessError(
+                    f"{episodes_csv}: line {reader.line_num} does not have {len(EPISODE_FIELDS)} fields"
+                )
             if row["phase"] != "phase1" or row["outcome"] != FAILURE:
                 continue
             cause = frozenset(x for x in row["true_cause"].split("|") if x)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import logging
 import math
 from dataclasses import dataclass, field
 
-log = logging.getLogger(__name__)
+from .pddl import format_number
 
 CONFIRMED = "confirmed"
 TEMPORARY = "temporary"
@@ -38,12 +37,8 @@ def ground_key(name: str, *args: str) -> str:
 
 
 def split_key(key: str) -> tuple[str, tuple[str, ...]]:
-    if "(" not in key:
-        return key, ()
-    name, rest = key.split("(", 1)
-    rest = rest.rstrip(")")
-    args = tuple(a for a in rest.split(",") if a)
-    return name, args
+    name, _, rest = key.partition("(")
+    return name, tuple(a for a in rest.rstrip(")").split(",") if a)
 
 
 # ── Attribute schema ──────────────────────────────────────────────────────
@@ -55,8 +50,8 @@ class AttributeSpec:
     name: str
     quantization: float
     eta: float
-    kb_fluent_upper: str | None = None
-    kb_fluent_lower: str | None = None
+    kb_fluent_upper: str
+    kb_fluent_lower: str
     # Attribute whose quantized bucket conditions this one's bounds (a slave
     # of that master); None for an independent attribute.
     master: int | None = None
@@ -91,12 +86,12 @@ class AttributeSchema:
             raise KnowledgeBaseError(f"no attribute with index {index}")
         return self.attributes[index - 1]
 
-    def by_fluent(self, fluent: str) -> AttributeSpec | None:
-        """The attribute owning a bound fluent, on either side, if any."""
+    def by_fluent(self, fluent: str) -> AttributeSpec:
+        """The attribute owning a bound fluent, on either side."""
         for spec in self.attributes:
             if fluent in (spec.kb_fluent_upper, spec.kb_fluent_lower):
                 return spec
-        return None
+        raise KnowledgeBaseError(f"no attribute owns the fluent {fluent!r}")
 
     def quantize(self, index: int, value: float) -> float:
         """Round half-up onto the attribute grid."""
@@ -139,12 +134,6 @@ class KBEntry:
     def status(self) -> str:
         return self.history[-1].status
 
-    def last_confirmed(self) -> float | None:
-        for rec in reversed(self.history):
-            if rec.status == CONFIRMED:
-                return rec.value
-        return None
-
 
 class KnowledgeBase:
     """Bound fluents with refinement history, global or per master bucket."""
@@ -178,18 +167,6 @@ class KnowledgeBase:
             raise UnknownFluentError(f"unknown fluent {fluent!r}")
         return entry.value
 
-    def status(self, fluent: str, condition: float | None = None) -> str:
-        entry = self._entries.get((fluent, condition))
-        if entry is None:
-            raise UnknownFluentError(f"unknown fluent {fluent!r}")
-        return entry.status
-
-    def last_confirmed(self, fluent: str, condition: float | None = None) -> float | None:
-        entry = self._entries.get((fluent, condition))
-        if entry is None:
-            raise UnknownFluentError(f"unknown fluent {fluent!r}")
-        return entry.last_confirmed()
-
     def entries(self) -> list[KBEntry]:
         """Entries in canonical order; read-only, writes go through the methods below."""
         return [self._entries[k] for k in sorted(self._entries, key=_entry_sort_key)]
@@ -219,12 +196,10 @@ class KnowledgeBase:
             entry.history.append(HistoryRecord(float(value), TEMPORARY, stamp))
 
     def confirm_top(self, fluent: str, condition: float | None = None) -> None:
+        """Turn the top record into the new revert floor; a confirmed top stays as it is."""
         entry = self._entries.get((fluent, condition))
         if entry is None:
             raise UnknownFluentError(f"unknown fluent {fluent!r}")
-        if entry.status != TEMPORARY:
-            log.warning("confirm_top(%s, %s): nothing temporary to confirm", fluent, condition)
-            return
         top = entry.history[-1]
         entry.history[-1] = HistoryRecord(top.value, CONFIRMED, top.stamp)
         self._digest = None
@@ -242,7 +217,7 @@ class KnowledgeBase:
         if not entry.history:
             del self._entries[key]
 
-    # -- snapshots and persistence ----------------------------------------
+    # -- snapshots and the run file ---------------------------------------
 
     def effective_dump(self) -> str:
         lines = []
@@ -262,39 +237,11 @@ class KnowledgeBase:
             w = csv.writer(fh)
             w.writerow(["fluent", "condition_bucket", "value", "status", "stamp"])
             for e in self.entries():
-                cond = "" if e.condition is None else _fmt(e.condition)
+                cond = "" if e.condition is None else format_number(e.condition)
                 for rec in e.history:
-                    w.writerow([e.fluent, cond, _fmt(rec.value), rec.status, rec.stamp])
-
-    @classmethod
-    def load(cls, path: str) -> "KnowledgeBase":
-        kb = cls()
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    fluent = row["fluent"]
-                    cond = float(row["condition_bucket"]) if row["condition_bucket"] else None
-                    value = float(row["value"])
-                    status = row["status"]
-                    stamp = int(row["stamp"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise KnowledgeBaseError(f"{path}: bad row at line {lineno}: {exc}") from None
-                if status not in (CONFIRMED, TEMPORARY):
-                    raise KnowledgeBaseError(f"{path}: bad status {status!r} at line {lineno}")
-                key = (fluent, cond)
-                entry = kb._entries.setdefault(key, KBEntry(fluent, cond, []))
-                entry.history.append(HistoryRecord(value, status, stamp))
-        return kb
+                    w.writerow([e.fluent, cond, format_number(rec.value), rec.status, rec.stamp])
 
 
 def _entry_sort_key(key: tuple[str, float | None]) -> tuple[str, int, float]:
     fluent, cond = key
     return (fluent, 0 if cond is None else 1, cond if cond is not None else 0.0)
-
-
-def _fmt(v: float) -> str:
-    # -0.0 keeps its sign: "0" would load back as 0.0, which dumps differently
-    if v == int(v) and repr(v) != "-0.0":
-        return str(int(v))
-    return repr(v)

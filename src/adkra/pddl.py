@@ -72,9 +72,7 @@ class Atom:
     args: tuple[str, ...]
 
     def render(self) -> str:
-        if self.args:
-            return "(" + self.name + " " + " ".join(self.args) + ")"
-        return "(" + self.name + ")"
+        return "(" + " ".join((self.name, *self.args)) + ")"
 
 
 @dataclass(frozen=True)
@@ -623,47 +621,21 @@ def validate_problem(domain: DomainModel, problem: ProblemInstance) -> None:
 
     # Every fluent any grounded precondition can reference must be assigned.
     for action in domain.actions:
-        term = _first_unassigned(action, problem, assigned)
-        if term is not None:
-            raise PddlSemanticError(f"fluent unassigned: {term.render()}")
-
-
-def _first_unassigned(
-    action: ActionSchema, problem: ProblemInstance, assigned: dict[str, set[tuple[str, ...]]]
-) -> Atom | None:
-    """The first unassigned fluent met over the action's bindings, or None.
-
-    ``assigned`` holds the argument tuples assigned to each function name.
-    "First" is in the order of ``iter_bindings``, then comparisons, lhs before
-    rhs. A side depends only on its own variables, so each is grounded over
-    their product alone. The earliest full binding at which a side fails
-    gives every other variable its first object; the least such binding,
-    then the least side, is the one the full product meets first.
-    """
-    pools = [[n for n, t in problem.objects if t == typ] for _, typ in action.params]
-    if not all(pools):
-        return None  # no binding at all
-    names = [v for v, _ in action.params]
-    first: tuple[list[int], int, Atom] | None = None
-    sides = [side for c in action.precondition.comparisons for side in (c.lhs, c.rhs)]
-    for order, side in enumerate(sides):
-        # Most sides have every grounding assigned: check that in bulk, over
-        # each argument's objects (a superset when a variable repeats).
-        arg_pools = [pools[names.index(a)] if a in names else [a] for a in side.args]
-        if assigned.get(side.name, set()).issuperset(itertools.product(*arg_pools)):
+        pools = {v: [n for n, t in problem.objects if t == typ] for v, typ in action.params}
+        sides = [side for c in action.precondition.comparisons for side in (c.lhs, c.rhs)]
+        # Most actions have every grounding of every side assigned: check that
+        # in bulk, over each argument's objects (a superset when a variable
+        # repeats). Only a gap needs the walk that names the first one.
+        if all(
+            assigned.get(side.name, set()).issuperset(itertools.product(*(pools.get(a, [a]) for a in side.args)))
+            for side in sides
+        ):
             continue
-        used = [i for i, v in enumerate(names) if v in side.args]
-        for combo in itertools.product(*(range(len(pools[i])) for i in used)):
-            binding = {names[i]: pools[i][j] for i, j in zip(used, combo)}
-            term = ground_atom(side, binding)
-            if term not in problem.init_fluents:
-                at = [0] * len(pools)
-                for i, j in zip(used, combo):
-                    at[i] = j
-                if first is None or (at, order) < first[:2]:
-                    first = (at, order, term)
-                break
-    return None if first is None else first[2]
+        for binding in iter_bindings(action.params, problem.objects):
+            for side in sides:
+                term = ground_atom(side, binding)
+                if term not in problem.init_fluents:
+                    raise PddlSemanticError(f"fluent unassigned: {term.render()}")
 
 
 # ── Grounding helpers ─────────────────────────────────────────────────────
@@ -692,7 +664,11 @@ def apply_effect(facts: frozenset[Atom], eff: Effect) -> frozenset[Atom]:
 
 
 def format_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
+    """A number as every writer prints it: a whole value below 1e15 without a
+    fraction, anything else (-0.0 and non-finite values too) as its repr, so
+    the text reads back as the same float."""
+    v = float(v)
+    if v.is_integer() and abs(v) < 1e15 and repr(v) != "-0.0":
         return str(int(v))
     return repr(v)
 

@@ -12,20 +12,17 @@ reverted.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from .experience import FAILURE, SUCCESS, EmptyColumnError, TrainingData
 from .kb import AttributeSchema, KnowledgeBase
-
-log = logging.getLogger(__name__)
+from .pddl import format_number
 
 POINT = "point"
 COLLECTIVE = "collective"
 
 APPLIED_TEMPORARY = "applied_temporary"
 REJECTED_REVERTED = "rejected_reverted"
-NO_OP = "no_op"
 
 
 class ReasonerError(Exception):
@@ -58,12 +55,10 @@ class LearnedValue:
 @dataclass(frozen=True)
 class Refinement:
     outcome: str
-    fluent: str | None = None
+    fluent: str
     condition: float | None = None
 
     def render(self) -> str:
-        if self.fluent is None:
-            return self.outcome
         tag = f"{self.outcome}:{self.fluent}"
         if self.condition is not None:
             tag += f"@{format_number(self.condition)}"
@@ -83,11 +78,6 @@ class StepReport:
     refinement: Refinement | None = None
     confirmed: list[str] = field(default_factory=list)
     undetected: bool = False
-
-
-def format_number(v: float) -> str:
-    """A value as the episode log writes it: whole values without a fraction."""
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
 # ── Detection ─────────────────────────────────────────────────────────────
@@ -163,10 +153,11 @@ def select_outlier(anomalies: list[Anomaly], schema: AttributeSchema) -> Anomaly
 # ── Learning ──────────────────────────────────────────────────────────────
 
 
-def learn_value(out: Anomaly, nn: float, eta: float) -> LearnedValue | None:
+def learn_value(out: Anomaly, nn: float, eta: float) -> LearnedValue:
     """One learning step from the outlier toward its nearest neighbour.
 
-    Returns None when the outlier equals its neighbour (nothing to learn).
+    The two never coincide: a stored value equal to the outlier would put it
+    in a success bucket, and it would be no anomaly.
     """
     if eta <= 0:
         raise ReasonerError(f"learning rate must be positive, got {eta}")
@@ -174,7 +165,7 @@ def learn_value(out: Anomaly, nn: float, eta: float) -> LearnedValue | None:
         return LearnedValue(out.index, out.attribute, out.value - eta)
     if out.value < nn:
         return LearnedValue(out.index, out.attribute, out.value + eta)
-    return None
+    raise ReasonerError(f"outlier {out.render()} equals its nearest neighbour")
 
 
 # ── Refinement ────────────────────────────────────────────────────────────
@@ -194,13 +185,12 @@ def refine(
     cannot be the failure cause; the pending temporary on the target fluent is
     reverted instead. Anything at or beyond the range boundary replaces the
     bound on the side the outlier violated. Collective outliers always target
-    the bucketed bound keyed by the master's value.
+    the bucketed bound keyed by the master's value. The outlier's column must
+    hold a success (its nearest neighbour came from there); an empty one
+    raises EmptyColumnError.
     """
     spec = td.schema.spec(out.index)
-    qrange = td.quantized_range(out.index, out.bucket_by, out.bucket)
-    if qrange is None:
-        return Refinement(NO_OP)
-    qmin, qmax = qrange
+    qmin, qmax = td.quantized_range(out.index, out.bucket_by, out.bucket)
 
     condition = None
     if out.kind == COLLECTIVE:
@@ -215,9 +205,6 @@ def refine(
         fluent = spec.kb_fluent_upper
     else:
         fluent = spec.kb_fluent_lower
-    if fluent is None:
-        log.warning("attribute %s has no mapped bound fluent", out.attribute)
-        return Refinement(NO_OP)
 
     if qmin < lv.value < qmax:
         kb.revert_to_confirmed(fluent, condition)
@@ -263,15 +250,8 @@ def process_feedback(
         report.undetected = True
         return report
     report.nn = nn
-
-    lv = learn_value(outlier, nn, schema.eta(outlier.index))
-    if lv is None:
-        report.undetected = True
-        report.refinement = Refinement(NO_OP)
-        return report
-    report.lv = lv
-
-    report.refinement = refine(lv, outlier, kb, td, stamp=episode)
+    report.lv = learn_value(outlier, nn, schema.eta(outlier.index))
+    report.refinement = refine(report.lv, outlier, kb, td, stamp=episode)
     return report
 
 
@@ -279,14 +259,11 @@ def _confirm_matching(fb, kb: KnowledgeBase, schema: AttributeSchema, report: St
     """Confirm any pending temporary whose value the success just reproduced."""
     for entry in kb.temporaries():
         spec = schema.by_fluent(entry.fluent)
-        if spec is None:
-            continue
         observed = fb.observed.values[spec.index - 1]
         if schema.quantize(spec.index, observed) != entry.value:
             continue
         if entry.condition is not None:
-            if spec.master is None:
-                continue
+            # only a slave's bounds are bucketed, by its master's value
             mv = fb.observed.values[spec.master - 1]
             if schema.quantize(spec.master, mv) != entry.condition:
                 continue

@@ -34,8 +34,9 @@ def test_overstated_distance_bound_converges_exactly():
     start = time.monotonic()
     report = run_experiment(ExperimentConfig(kind="distance", episodes=100, seed=7))
     elapsed = time.monotonic() - start
-    assert report.kb.last_confirmed(defaults.MAXDIS) == 23.0
-    assert report.kb.status(defaults.MAXDIS) == "confirmed"
+    maxdis = next(e for e in report.kb.entries() if e.fluent == defaults.MAXDIS)
+    assert maxdis.value == 23.0
+    assert maxdis.status == "confirmed"
     assert report.phase2_failures == 0
     assert elapsed < 5.0
 
@@ -56,7 +57,8 @@ def test_overstated_distance_bound_converges_at_grid_blind_seeds(seed):
 
 def test_understated_angle_bound_converges():
     report = run_experiment(ExperimentConfig(kind="angle", episodes=100, seed=2))
-    learned = report.kb.last_confirmed(defaults.MINHWANGLE)
+    minhwangle = next(e for e in report.kb.entries() if e.fluent == defaults.MINHWANGLE)
+    learned = next(r.value for r in reversed(minhwangle.history) if r.status == "confirmed")
     assert abs(learned - (-25.0)) <= 1.0
     assert report.phase2_failures == 0
 
@@ -140,7 +142,7 @@ def test_interior_learned_values_are_rejected():
         result = refine(LearnedValue(1, "distance", interior), out, kb, td, stamp=trial)
         assert result.outcome == REJECTED_REVERTED
         assert kb.get_effective_value(defaults.MAXDIS) == 27.0
-        assert kb.status(defaults.MAXDIS) == "confirmed"
+        assert [e.status for e in kb.entries() if e.fluent == defaults.MAXDIS] == ["confirmed"]
 
 
 def test_pddl_round_trip_and_plan_shapes():

@@ -37,6 +37,13 @@ def test_parse_missing_file_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_parse_non_utf8_file_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.pddl"
+    bad.write_bytes(b"\xff\xfe(define")
+    assert main(["parse", str(bad)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_parse_invalid_pddl_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.pddl"
     bad.write_text("(define (domain x) (:types car - vehicle))")
@@ -136,6 +143,14 @@ def test_fault_alias_reaches_the_kb(tmp_path, capsys):
 
 def test_metrics_on_missing_directory_is_input_error(tmp_path, capsys):
     assert main(["metrics", "--in", str(tmp_path / "nope")]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("row", ["1,phase1,failure", "1,phase1,failure,distance,,,,,,abc,extra"], ids=["short", "long"])
+def test_metrics_on_a_row_of_the_wrong_length_is_input_error(tmp_path, capsys, row):
+    header = "episode,phase,outcome,true_cause,anomalies,outlier_attr,nn,lv,refinement_outcome,kb_snapshot_hash"
+    (tmp_path / "episodes.csv").write_text(f"{header}\n1,phase1,success,,,,,,,abc\n{row}\n")
+    assert main(["metrics", "--in", str(tmp_path)]) == EXIT_INPUT
+    assert f"{tmp_path / 'episodes.csv'}: line 3 does not have 10 fields" in capsys.readouterr().err
 
 
 def test_console_script_entry_point(capsys, monkeypatch):

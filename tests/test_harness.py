@@ -1,11 +1,16 @@
+import math
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from adkra import defaults
-from adkra.experience import TrainingData
+from adkra.experience import FAILURE, TrainingData
 from adkra.harness import (
     EPISODE_FIELDS,
     ConfusionCounts,
+    EpisodeRecord,
     ExperimentConfig,
     HarnessError,
     _build_kb,
@@ -20,6 +25,9 @@ from adkra.harness import (
     load_scored_events,
     run_experiment,
 )
+from adkra.kb import KnowledgeBase
+from adkra.pddl import Atom, ProblemInstance, print_problem
+from adkra.reasoner import StepReport
 from adkra.world import GroundTruthEnvelope, NoiseModel
 
 
@@ -272,6 +280,44 @@ def test_load_scored_events_checks_header(tmp_path):
     path.write_text("bogus,header\n")
     with pytest.raises(HarnessError, match="unexpected header"):
         load_scored_events(str(path))
+
+
+# Every writer prints a number by one rule: a whole value below 1e15 without a
+# fraction, anything else as its repr, so the text reads back as the same float.
+NUMBERS = [
+    (23.0, "23"),
+    (-7.0, "-7"),
+    (0.0, "0"),
+    (-0.0, "-0.0"),
+    (23.4, "23.4"),
+    (999999999999999.0, "999999999999999"),
+    (1e15, "1000000000000000.0"),
+    (-1e20, "-1e+20"),
+    (math.inf, "inf"),
+    (math.nan, "nan"),
+]
+
+
+def _in_problem(v, tmp_path):
+    problem = ProblemInstance("p", "nao", (("nao", "robot"),), frozenset(), {Atom("hwangle", ("nao",)): v})
+    return re.search(r"\(= \(hwangle nao\) (\S+?)\)", print_problem(problem)).group(1)
+
+
+def _in_kb_final(v, tmp_path):
+    KnowledgeBase({defaults.MAXDIS: v}).save(str(tmp_path / "kb_final.csv"))
+    return (tmp_path / "kb_final.csv").read_text().splitlines()[1].split(",")[2]
+
+
+def _in_episodes(v, tmp_path):
+    record = EpisodeRecord(1, "phase1", None, FAILURE, frozenset(), StepReport(1, FAILURE, nn=v), "")
+    return _episode_row(SimpleNamespace(schema=defaults.GRIP_SCHEMA), record)[EPISODE_FIELDS.index("nn")]
+
+
+@pytest.mark.parametrize("writer", [_in_problem, _in_kb_final, _in_episodes], ids=["problem", "kb_final", "episodes"])
+def test_every_writer_prints_numbers_by_one_rule(writer, tmp_path):
+    printed = [writer(v, tmp_path) for v, _text in NUMBERS]
+    assert printed == [text for _v, text in NUMBERS]
+    assert [repr(float(text)) for text in printed] == [repr(v) for v, _text in NUMBERS]
 
 
 def test_noise_config_is_applied():

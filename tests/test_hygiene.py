@@ -1,12 +1,17 @@
 """Leftovers after a deletion: unused imports, unreferenced private functions,
-public names that only tests reach, and dataclass fields nothing reads.
+public names nothing outside the tests names, and dataclass fields nothing
+reads.
 
-Checks every module of the package with ``ast`` alone. An import is used when
-its module reads the name (as a name or an attribute) or lists it in
-``__all__``; a private function is referenced when any module reads or
-imports its name. A public name must be reached from the package itself
-(``__init__.py`` aside) or from the benchmark in ``perfbench/``. A dataclass
-field must be read as an attribute in the package or the benchmark.
+Checks every module of the package with ``ast`` alone, so it matches names,
+not calls: a method passes when any attribute of the same name is read.
+``test_reachability.py`` runs the command line and finds the lines no command
+executes; these checks find what line tracing cannot see, such as a class
+nothing uses or a field nothing reads. An import is used when its module
+reads the name (as a name or an attribute) or lists it in ``__all__``; a
+private function is referenced when any module reads or imports its name. A
+public name must be reached from the package itself (``__init__.py`` aside)
+or from the benchmark in ``perfbench/``. A dataclass field must be read as an
+attribute in the package or the benchmark.
 """
 
 import ast
@@ -17,14 +22,6 @@ import adkra
 SRC = pathlib.Path(adkra.__file__).resolve().parent
 MODULES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-
-# Public methods kept although only tests call them. Each is the only reader
-# of the run file its class writes, and the round-trip tests use it to pin
-# that the writer is lossless.
-TEST_ONLY_READERS = {
-    "KnowledgeBase.load",  # kb_final.csv, written by KnowledgeBase.save
-    "TrainingData.load",  # training_data.csv, written by TrainingData.save
-}
 
 
 def _used_names(tree: ast.Module) -> set[str]:
@@ -117,7 +114,7 @@ def test_every_public_name_has_a_caller_outside_tests():
                 unreferenced += [
                     f"{name}:{method.lineno} {node.name}.{method.name}"
                     for method in _public(node.body, functions)
-                    if method.name not in attributes and f"{node.name}.{method.name}" not in TEST_ONLY_READERS
+                    if method.name not in attributes
                 ]
     assert unreferenced == []
 

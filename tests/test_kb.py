@@ -1,5 +1,5 @@
+import csv
 import hashlib
-import logging
 
 import pytest
 
@@ -46,7 +46,7 @@ def test_quantize_rounds_half_up():
     }
     for raw, want in cases.items():
         assert schema.quantize(1, raw) == want
-    fine = AttributeSpec(1, "x", 0.5, 0.5)
+    fine = AttributeSpec(1, "x", 0.5, 0.5, "maxx", "minx")
     half = AttributeSchema((fine,))
     assert half.quantize(1, 0.74) == 0.5
     assert half.quantize(1, 0.76) == 1.0
@@ -60,16 +60,16 @@ def test_quantize_vector_checks_arity():
 
 
 def test_schema_validation():
-    spec = AttributeSpec(2, "x", 1.0, 1.0)
+    spec = AttributeSpec(2, "x", 1.0, 1.0, "maxx", "minx")
     with pytest.raises(KnowledgeBaseError, match="contiguous"):
         AttributeSchema((spec,))
     with pytest.raises(KnowledgeBaseError, match="positive"):
-        AttributeSchema((AttributeSpec(1, "x", 1.0, 0.0),))
+        AttributeSchema((AttributeSpec(1, "x", 1.0, 0.0, "maxx", "minx"),))
     for bad in (float("nan"), float("inf")):
         with pytest.raises(KnowledgeBaseError, match="finite"):
-            AttributeSchema((AttributeSpec(1, "x", 1.0, bad),))
+            AttributeSchema((AttributeSpec(1, "x", 1.0, bad, "maxx", "minx"),))
         with pytest.raises(KnowledgeBaseError, match="finite"):
-            AttributeSchema((AttributeSpec(1, "x", bad, 1.0),))
+            AttributeSchema((AttributeSpec(1, "x", bad, 1.0, "maxx", "minx"),))
 
 
 def test_by_fluent_resolves_side():
@@ -77,12 +77,16 @@ def test_by_fluent_resolves_side():
     assert schema.by_fluent(MAXDIS).name == "distance"
     assert schema.by_fluent(defaults.MINDIS).name == "distance"
     assert schema.by_fluent(defaults.MINHWANGLE).name == "angle"
-    assert schema.by_fluent("nosuch(grp)") is None
+    with pytest.raises(KnowledgeBaseError, match="no attribute owns"):
+        schema.by_fluent("nosuch(grp)")
 
 
 def _coupled(*masters):
     return AttributeSchema(
-        tuple(AttributeSpec(i, f"a{i}", 1.0, 1.0, master=m) for i, m in enumerate(masters, start=1))
+        tuple(
+            AttributeSpec(i, f"a{i}", 1.0, 1.0, f"max{i}", f"min{i}", master=m)
+            for i, m in enumerate(masters, start=1)
+        )
     )
 
 
@@ -104,18 +108,24 @@ def test_relationship_cycle_detection():
         _coupled(None, 1, 2)
 
 
+def _entry(kb, fluent, condition=None):
+    return next(e for e in kb.entries() if (e.fluent, e.condition) == (fluent, condition))
+
+
+def _history(kb, fluent, condition=None):
+    return [(r.value, r.status) for r in _entry(kb, fluent, condition).history]
+
+
 def test_temporary_then_confirm(kb):
     assert kb.get_effective_value(MAXDIS) == 23.0
-    assert kb.status(MAXDIS) == CONFIRMED
+    assert _entry(kb, MAXDIS).status == CONFIRMED
 
     kb.apply_temporary(MAXDIS, 26.0, stamp=4)
     assert kb.get_effective_value(MAXDIS) == 26.0
-    assert kb.status(MAXDIS) == TEMPORARY
-    assert kb.last_confirmed(MAXDIS) == 23.0
+    assert _history(kb, MAXDIS) == [(23.0, CONFIRMED), (26.0, TEMPORARY)]
 
     kb.confirm_top(MAXDIS)
-    assert kb.status(MAXDIS) == CONFIRMED
-    assert kb.last_confirmed(MAXDIS) == 26.0
+    assert _history(kb, MAXDIS) == [(23.0, CONFIRMED), (26.0, CONFIRMED)]
 
 
 def test_temporary_replaces_instead_of_stacking(kb):
@@ -125,14 +135,14 @@ def test_temporary_replaces_instead_of_stacking(kb):
     assert [r.value for r in entry.history] == [23.0, 25.0]
     kb.revert_to_confirmed(MAXDIS)
     assert kb.get_effective_value(MAXDIS) == 23.0
-    assert kb.status(MAXDIS) == CONFIRMED
+    assert _entry(kb, MAXDIS).status == CONFIRMED
 
 
-def test_confirm_without_temporary_is_a_warning_noop(kb, caplog):
-    with caplog.at_level(logging.WARNING, logger="adkra.kb"):
-        kb.confirm_top(MAXDIS)
-    assert "nothing temporary" in caplog.text
-    assert kb.status(MAXDIS) == CONFIRMED
+def test_confirm_without_temporary_is_a_noop(kb):
+    before = kb.effective_dump()
+    kb.confirm_top(MAXDIS)
+    assert kb.effective_dump() == before
+    assert _history(kb, MAXDIS) == [(23.0, CONFIRMED)]
 
 
 def test_unknown_fluent_errors(kb):
@@ -191,7 +201,7 @@ def _fresh_digest(kb):
     return hashlib.sha256(kb.effective_dump().encode()).hexdigest()[:12]
 
 
-def test_cached_snapshot_hash_follows_every_write(tmp_path, kb):
+def test_cached_snapshot_hash_follows_every_write(kb):
     writes = [
         lambda: kb.apply_temporary(MAXDIS, 26.0, stamp=4),
         lambda: kb.confirm_top(MAXDIS),
@@ -208,13 +218,10 @@ def test_cached_snapshot_hash_follows_every_write(tmp_path, kb):
         before = kb.snapshot_hash()  # warm the cache so a missed invalidation shows
         write()
         assert kb.snapshot_hash() == _fresh_digest(kb) != before
-    path = tmp_path / "kb.csv"
-    kb.save(str(path))
-    loaded = KnowledgeBase.load(str(path))
-    assert loaded.snapshot_hash() == _fresh_digest(loaded) == kb.snapshot_hash()
 
 
 def test_save_load_round_trip(tmp_path, kb):
+    """kb_final.csv holds every history record, read back exactly."""
     kb.apply_temporary(MAXDIS, 26.0, stamp=4)
     kb.confirm_top(MAXDIS)
     kb.apply_temporary(MAXDIS, 25.0, stamp=9)
@@ -222,19 +229,11 @@ def test_save_load_round_trip(tmp_path, kb):
 
     fpath = tmp_path / "kb.csv"
     kb.save(str(fpath))
-    loaded = KnowledgeBase.load(str(fpath))
-
-    assert loaded.effective_dump() == kb.effective_dump()
-    assert loaded.snapshot_hash() == kb.snapshot_hash()
-    assert loaded.last_confirmed(MAXDIS) == 26.0
-    assert loaded.status(MAXDIS) == TEMPORARY
-
-
-def test_load_rejects_bad_rows(tmp_path):
-    path = tmp_path / "kb.csv"
-    path.write_text("fluent,condition_bucket,value,status,stamp\nmaxdis(grp),,abc,confirmed,0\n")
-    with pytest.raises(KnowledgeBaseError, match="line 2"):
-        KnowledgeBase.load(str(path))
-    path.write_text("fluent,condition_bucket,value,status,stamp\nmaxdis(grp),,23,frozen,0\n")
-    with pytest.raises(KnowledgeBaseError, match="bad status"):
-        KnowledgeBase.load(str(path))
+    with open(fpath, newline="") as fh:
+        read = [
+            (r["fluent"], float(r["condition_bucket"]) if r["condition_bucket"] else None,
+             float(r["value"]), r["status"], int(r["stamp"]))
+            for r in csv.DictReader(fh)
+        ]
+    assert read == [(e.fluent, e.condition, r.value, r.status, r.stamp) for e in kb.entries() for r in e.history]
+    assert _history(kb, MAXDIS) == [(23.0, CONFIRMED), (26.0, CONFIRMED), (25.0, TEMPORARY)]

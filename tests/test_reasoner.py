@@ -9,13 +9,13 @@ from adkra.experience import (
     FAILURE,
     SUCCESS,
     AttributeVector,
+    EmptyColumnError,
     TrainingData,
 )
 from adkra.kb import AttributeSchema, KnowledgeBase
 from adkra.reasoner import (
     APPLIED_TEMPORARY,
     COLLECTIVE,
-    NO_OP,
     POINT,
     REJECTED_REVERTED,
     Anomaly,
@@ -58,6 +58,10 @@ def _success_fb(d, a, episode=0):
 
 def _failure_fb(d, a, episode=0):
     return SimpleNamespace(outcome=FAILURE, observed=AttributeVector((d, a), FAILURE, episode))
+
+
+def _status(kb, fluent, condition=None):
+    return next(e.status for e in kb.entries() if (e.fluent, e.condition) == (fluent, condition))
 
 
 # ── Detection ──────────────────────────────────────────────────────────────
@@ -153,7 +157,8 @@ def test_learn_value_steps_toward_neighbour():
     out_low = Anomaly(1, "distance", 13.0, POINT)
     assert learn_value(out_low, 15.0, 1.0).value == 14.0
     assert learn_value(out_high, 20.0, 0.5).value == 23.5
-    assert learn_value(out_high, 24.0, 1.0) is None
+    with pytest.raises(ReasonerError, match="equals its nearest neighbour"):
+        learn_value(out_high, 24.0, 1.0)
     with pytest.raises(ReasonerError, match="positive"):
         learn_value(out_high, 20.0, 0.0)
 
@@ -175,7 +180,7 @@ def test_refine_applies_upper_bound(kb):
     result = refine(lv, out, kb, td, stamp=5)
     assert result.render() == "applied_temporary:maxdis(grp)"
     assert kb.get_effective_value(MAXDIS) == 23.0
-    assert kb.status(MAXDIS) == "temporary"
+    assert _status(kb, MAXDIS) == "temporary"
 
 
 def test_refine_applies_lower_bound(kb):
@@ -195,7 +200,7 @@ def test_refine_rejects_interior_value(kb):
     result = refine(fake_lv, out, kb, td)
     assert result.outcome == REJECTED_REVERTED
     assert kb.get_effective_value(MAXDIS) == 27.0
-    assert kb.status(MAXDIS) == "confirmed"
+    assert _status(kb, MAXDIS) == "confirmed"
 
 
 def test_refine_gap_targets_nearer_bound(kb):
@@ -232,11 +237,11 @@ def test_refine_interiority_is_bucket_local(kb):
     assert kb.get_effective_value(MAXHW, condition=20.0) == -14.0
 
 
-def test_refine_empty_bucket_is_noop(kb):
+def test_refine_empty_bucket_raises(kb):
     td = _td([(18, -18)])
     out = Anomaly(2, "angle", -18.0, COLLECTIVE, 1, 25.0)
-    result = refine(learn_value(out, -17.0, 1.0), out, kb, td)
-    assert result.outcome == NO_OP
+    with pytest.raises(EmptyColumnError):
+        refine(learn_value(out, -17.0, 1.0), out, kb, td)
     assert not kb.has_entry(MAXHW, 25.0)
 
 
@@ -256,7 +261,7 @@ def test_success_confirms_matching_temporary(kb):
     kb.apply_temporary(MAXDIS, 23.0, stamp=8)
     report = process_feedback(_success_fb(23.4, -7.0), kb, td)
     assert report.confirmed == ["maxdis(grp)"]
-    assert kb.status(MAXDIS) == "confirmed"
+    assert _status(kb, MAXDIS) == "confirmed"
 
 
 def test_success_leaves_unmatched_temporary_pending(kb):
@@ -264,7 +269,7 @@ def test_success_leaves_unmatched_temporary_pending(kb):
     kb.apply_temporary(MAXDIS, 23.0, stamp=8)
     report = process_feedback(_success_fb(21.0, -7.0), kb, td)
     assert report.confirmed == []
-    assert kb.status(MAXDIS) == "temporary"
+    assert _status(kb, MAXDIS) == "temporary"
 
 
 def test_success_confirms_bucketed_temporary_on_bucket_match(kb):
@@ -276,7 +281,7 @@ def test_success_confirms_bucketed_temporary_on_bucket_match(kb):
 
     same_bucket = process_feedback(_success_fb(20.3, -17.2), kb, td)
     assert same_bucket.confirmed == [f"{MAXHW}@20"]
-    assert kb.status(MAXHW, condition=20.0) == "confirmed"
+    assert _status(kb, MAXHW, 20.0) == "confirmed"
 
 
 def test_failure_full_pass_applies_bound(kb):
@@ -303,15 +308,6 @@ def test_failure_without_history_is_undetected(kb):
     report = process_feedback(_failure_fb(24.0, -10.0), kb, td)
     assert report.undetected
     assert report.outlier is not None and report.nn is None
-
-
-def test_failure_matching_neighbour_is_noop(kb):
-    td = _range_td()
-    td.nearest_neighbor = lambda *a, **k: 24.0  # force the degenerate case
-    report = process_feedback(_failure_fb(24.0, -10.0), kb, td)
-    assert report.undetected
-    assert report.refinement.outcome == NO_OP
-    assert report.nn == 24.0 and report.lv is None
 
 
 def test_closed_loop_converges_to_true_bound(kb):

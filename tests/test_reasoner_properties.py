@@ -21,8 +21,8 @@ def _cases(draw):
     coupled = draw(st.booleans())
     schema = AttributeSchema(
         (
-            AttributeSpec(1, "distance", q, q),
-            AttributeSpec(2, "angle", q, q, master=1 if coupled else None),
+            AttributeSpec(1, "distance", q, q, "maxdis", "mindis"),
+            AttributeSpec(2, "angle", q, q, "maxangle", "minangle", master=1 if coupled else None),
         )
     )
     value = st.integers(-12, 12).map(lambda k: k * q / 4)
