@@ -17,8 +17,8 @@ from .harness import (
     compute_metrics,
     confusion_table,
     emit_report,
-    format_rate,
     load_scored_events,
+    rate_block,
     run_experiment,
 )
 from .kb import KnowledgeBaseError
@@ -39,7 +39,6 @@ _INPUT_ERRORS = (
     KnowledgeBaseError,
     ExperienceError,
     OSError,
-    UnicodeDecodeError,
 )
 
 
@@ -107,22 +106,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_pddl(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise PddlError(f"{path}: {exc}") from None
+
+
 def cmd_parse(args) -> int:
-    with open(args.domain) as fh:
-        domain = parse_domain(fh.read())
+    domain = parse_domain(_read_pddl(args.domain))
     sys.stdout.write(print_domain(domain))
     if args.problem:
-        with open(args.problem) as fh:
-            problem = parse_problem(fh.read(), domain)
+        problem = parse_problem(_read_pddl(args.problem), domain)
         sys.stdout.write(print_problem(problem))
     return EXIT_OK
 
 
 def cmd_plan(args) -> int:
-    with open(args.domain) as fh:
-        domain = parse_domain(fh.read())
-    with open(args.problem) as fh:
-        problem = parse_problem(fh.read(), domain)
+    domain = parse_domain(_read_pddl(args.domain))
+    problem = parse_problem(_read_pddl(args.problem), domain)
     plan = find_plan(domain, problem, args.max_depth)
     sys.stdout.write(format_plan(plan))
     return EXIT_OK
@@ -150,9 +153,8 @@ def cmd_run(args) -> int:
     print(f"kind {cfg.kind}  seed {cfg.seed}  adkra {'on' if cfg.adkra_enabled else 'off'}")
     print(f"warmup episodes: {report.warmup_count}")
     print(f"phase 1 failures: {report.phase1_failures} / {cfg.episodes}")
-    if report.phase2_failures is not None:
+    if cfg.adkra_enabled:
         print(f"phase 2 failures: {report.phase2_failures} / {cfg.episodes}")
-    if report.baseline_phase1_failures is not None:
         print(f"baseline phase 1 failures: {report.baseline_phase1_failures} / {cfg.episodes}")
     print("\n".join(confusion_table(report.metrics)))
     print("final bounds:")
@@ -163,11 +165,7 @@ def cmd_run(args) -> int:
 
 def cmd_metrics(args) -> int:
     events = load_scored_events(os.path.join(args.in_dir, "episodes.csv"))
-    m = compute_metrics(events)
-    print("\n".join(confusion_table(m)))
-    print(f"TP {m.tp}  FP {m.fp}  FN {m.fn}  TN {m.tn}  Obs {m.obs}")
-    print(f"TPR {format_rate(m.tpr)}  FNR {format_rate(m.fnr)}")
-    print(f"Precision {format_rate(m.precision)}  Accuracy {format_rate(m.accuracy)}")
+    print("\n".join(rate_block(compute_metrics(events))))
     return EXIT_OK
 
 

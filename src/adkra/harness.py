@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -111,11 +110,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    obs: int = 0
     tp: int = 0
     fn: int = 0
     fp: int = 0
     tn: int = 0
+
+    @property
+    def obs(self) -> int:
+        return self.tp + self.fn + self.fp + self.tn
 
     @property
     def tpr(self) -> float | None:
@@ -155,6 +157,20 @@ def confusion_table(m: ConfusionCounts) -> list[str]:
     ]
 
 
+def rate_block(m: ConfusionCounts) -> list[str]:
+    """The confusion table, counts and rates: metrics.txt and ``adkra metrics`` print these lines."""
+    return [
+        *confusion_table(m),
+        "",
+        f"TP {m.tp}  FP {m.fp}  FN {m.fn}  TN {m.tn}  Obs {m.obs}",
+        f"TPR {format_rate(m.tpr)}   (TP / (TP+FN))",
+        f"FNR {format_rate(m.fnr)}   (FN / (TP+FN))",
+        f"Precision {format_rate(m.precision)}   (TP / (TP+FP))",
+        f"Accuracy {format_rate(m.accuracy)}   ((TP+TN) / Obs)",
+        f"Accuracy {format_rate(m.hit_accuracy)}   (TP / Obs, prediction-hit style)",
+    ]
+
+
 @dataclass
 class EpisodeRecord:
     episode: int
@@ -168,22 +184,47 @@ class EpisodeRecord:
 
 @dataclass
 class ExperimentReport:
+    """What one experiment ran. Every count, curve and rate is derived from it."""
+
     config: ExperimentConfig
     records: list[EpisodeRecord]
-    warmup_count: int
-    phase1_failures: int
-    phase2_failures: int | None
-    baseline_phase1_failures: int | None
-    metrics: ConfusionCounts
-    curve_with: list[float] | None
-    curve_without: list[float] | None
+    baseline: list[EpisodeRecord] | None  # phase 1 without refinement; None when refinement is off
     kb_before: str
     kb: KnowledgeBase
     td: TrainingData
-    schema: AttributeSchema
 
     def records_of(self, phase: str) -> list[EpisodeRecord]:
         return [r for r in self.records if r.phase == phase]
+
+    @property
+    def warmup_count(self) -> int:
+        return len(self.records_of("warmup"))
+
+    @property
+    def phase1_failures(self) -> int:
+        return _failures(self.records_of("phase1"))
+
+    @property
+    def phase2_failures(self) -> int | None:
+        return _failures(self.records_of("phase2")) if self.config.adkra_enabled else None
+
+    @property
+    def baseline_phase1_failures(self) -> int | None:
+        return None if self.baseline is None else _failures(self.baseline)
+
+    @property
+    def metrics(self) -> ConfusionCounts:
+        """Scored from the episodes.csv rows of the phase-1 failures, as ``adkra metrics`` scores a file."""
+        rows = (
+            dict(zip(EPISODE_FIELDS, _episode_row(self.td.schema, r)))
+            for r in self.records_of("phase1")
+            if r.outcome == FAILURE
+        )
+        return compute_metrics(_scored_events(rows))
+
+
+def _failures(records: list[EpisodeRecord]) -> int:
+    return sum(1 for r in records if r.outcome == FAILURE)
 
 
 # ── Experiment loop ───────────────────────────────────────────────────────
@@ -202,10 +243,7 @@ def _build_schema(cfg: ExperimentConfig) -> AttributeSchema:
 
 
 def _build_kb(cfg: ExperimentConfig) -> KnowledgeBase:
-    kb = KnowledgeBase(defaults.INITIAL_KB)
-    for fluent, value in cfg.resolved_faults().items():
-        kb.load_initial(fluent, value)
-    return kb
+    return KnowledgeBase({**defaults.INITIAL_KB, **cfg.resolved_faults()})
 
 
 def _preseed(td: TrainingData, envelope: GroundTruthEnvelope, rng, k: int) -> None:
@@ -263,7 +301,7 @@ def _run_episode(
     )
 
 
-def _warmup(counter, cfg, rng, kb, td, envelope, domain) -> list[EpisodeRecord]:
+def _warmup(cfg, rng, kb, td, envelope, domain) -> list[EpisodeRecord]:
     records: list[EpisodeRecord] = []
     successes = 0
     limit = 200 * cfg.warmup_successes
@@ -272,7 +310,7 @@ def _warmup(counter, cfg, rng, kb, td, envelope, domain) -> list[EpisodeRecord]:
             raise HarnessError(
                 f"warm-up stalled: {successes} successes after {limit} episodes"
             )
-        rec = _run_episode(next(counter), "warmup", cfg, rng, kb, td, envelope, domain, "record")
+        rec = _run_episode(len(records) + 1, "warmup", cfg, rng, kb, td, envelope, domain, "record")
         records.append(rec)
         if rec.outcome == SUCCESS:
             successes += 1
@@ -284,115 +322,61 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     envelope = GroundTruthEnvelope(angle_anchors=defaults.KIND_ANCHORS[cfg.kind])
     domain = default_domain()
 
+    def run_phase(phase, first, rng, kb, td, mode) -> list[EpisodeRecord]:
+        return [
+            _run_episode(first + i, phase, cfg, rng, kb, td, envelope, domain, mode)
+            for i in range(cfg.episodes)
+        ]
+
     kb = _build_kb(cfg)
     td = TrainingData(schema)
     rng = np.random.default_rng(cfg.seed)
     kb_before = kb.effective_dump()
 
-    counter = itertools.count(1)
     records: list[EpisodeRecord] = []
     if cfg.preseed_td > 0:
         _preseed(td, envelope, rng, cfg.preseed_td)
-        warmup_count = 0
     else:
-        warm = _warmup(counter, cfg, rng, kb, td, envelope, domain)
-        records.extend(warm)
-        warmup_count = len(warm)
+        records = _warmup(cfg, rng, kb, td, envelope, domain)
+    first = len(records) + 1
     after_warmup = copy.deepcopy(rng)
 
-    mode = "learn" if cfg.adkra_enabled else "record"
-    phase1: list[EpisodeRecord] = []
-    for _ in range(cfg.episodes):
-        rec = _run_episode(next(counter), "phase1", cfg, rng, kb, td, envelope, domain, mode)
-        phase1.append(rec)
-    records.extend(phase1)
-    phase1_failures = sum(1 for r in phase1 if r.outcome == FAILURE)
-
-    phase2_failures = None
+    records += run_phase("phase1", first, rng, kb, td, "learn" if cfg.adkra_enabled else "record")
+    baseline = None
     if cfg.adkra_enabled:
         rng2 = np.random.default_rng([cfg.seed, 2])
-        phase2: list[EpisodeRecord] = []
-        for _ in range(cfg.episodes):
-            rec = _run_episode(next(counter), "phase2", cfg, rng2, kb, td, envelope, domain, "frozen")
-            phase2.append(rec)
-        records.extend(phase2)
-        phase2_failures = sum(1 for r in phase2 if r.outcome == FAILURE)
-
-    baseline_failures = None
-    curve_without = None
-    if cfg.adkra_enabled:
-        baseline = _counterfactual_phase1(cfg, after_warmup, warmup_count, schema, envelope, domain)
-        baseline_failures = sum(1 for r in baseline if r.outcome == FAILURE)
-        curve_without = _windowed(baseline)
-
-    metrics = compute_metrics(_scored_events(phase1, schema))
-    return ExperimentReport(
-        config=cfg,
-        records=records,
-        warmup_count=warmup_count,
-        phase1_failures=phase1_failures,
-        phase2_failures=phase2_failures,
-        baseline_phase1_failures=baseline_failures,
-        metrics=metrics,
-        curve_with=_windowed(phase1) if cfg.adkra_enabled else None,
-        curve_without=curve_without if cfg.adkra_enabled else _windowed(phase1),
-        kb_before=kb_before,
-        kb=kb,
-        td=td,
-        schema=schema,
-    )
-
-
-def _counterfactual_phase1(cfg, rng, warmup_count, schema, envelope, domain) -> list[EpisodeRecord]:
-    """Same draws, no refinement: the failure curve's comparison column.
-
-    ``rng`` is a copy of the generator taken right after the preseed or
-    warm-up, so phase 1 starts from the stream position the refined run had.
-    Nothing else needs replaying: the KB does not change during the warm-up
-    (it runs in ``record`` mode), so a freshly built KB equals it, and
-    ``record`` mode writes the history but never reads it, so an empty one
-    yields the same episodes.
-    """
-    kb = _build_kb(cfg)
-    td = TrainingData(schema)
-    counter = itertools.count(warmup_count + 1)
-    return [
-        _run_episode(next(counter), "phase1", cfg, rng, kb, td, envelope, domain, "record")
-        for _ in range(cfg.episodes)
-    ]
+        records += run_phase("phase2", first + cfg.episodes, rng2, kb, td, "frozen")
+        # The counterfactual phase 1 starts from the generator as it stood after
+        # the preseed or warm-up. Nothing else needs replaying: record mode never
+        # writes the KB and never reads the history, so a fresh KB and an empty
+        # history replay the same episodes.
+        baseline = run_phase("phase1", first, after_warmup, _build_kb(cfg), TrainingData(schema), "record")
+    return ExperimentReport(cfg, records, baseline, kb_before, kb, td)
 
 
 def _windowed(records: list[EpisodeRecord], window: int = WINDOW) -> list[float]:
-    rates = []
-    for i in range(0, len(records), window):
-        chunk = records[i : i + window]
-        rates.append(sum(1 for r in chunk if r.outcome == FAILURE) / len(chunk))
-    return rates
+    chunks = [records[i : i + window] for i in range(0, len(records), window)]
+    return [_failures(chunk) / len(chunk) for chunk in chunks]
 
 
 # ── Metrics ───────────────────────────────────────────────────────────────
 
 
-def _scored_events(phase1: list[EpisodeRecord], schema: AttributeSchema):
-    """(true-cause names, attributed name) per scored failure event."""
-    events = []
-    for r in phase1:
-        if r.outcome != FAILURE:
-            continue
-        cause = frozenset(schema.spec(i).name for i in r.true_cause)
-        attributed = None
-        if r.report is not None and r.report.lv is not None and r.report.outlier is not None:
-            attributed = r.report.outlier.attribute
-        events.append((cause, attributed))
-    return events
+def _scored_events(rows):
+    """(true-cause names, attributed name or None) per scored failure, from episodes.csv rows.
+
+    Only phase-1 failures are scored. One is attributed to its outlier when
+    its row has a learned value, even if the value was then rejected.
+    """
+    return [
+        (frozenset(x for x in row["true_cause"].split("|") if x), (row["lv"] and row["outlier_attr"]) or None)
+        for row in rows
+        if row["phase"] == "phase1" and row["outcome"] == FAILURE
+    ]
 
 
 def compute_metrics(events) -> ConfusionCounts:
-    """Confusion counts over failure events.
-
-    An event is a (true-cause name set, attributed name or None) pair; a
-    refinement that was learned but rejected still counts as an attribution.
-    """
+    """Confusion counts over failure events: (true-cause name set, attributed name or None) pairs."""
     tp = fn = fp = tn = 0
     for cause, attributed in events:
         if attributed is None:
@@ -404,7 +388,7 @@ def compute_metrics(events) -> ConfusionCounts:
             tp += 1
         else:
             fp += 1
-    return ConfusionCounts(obs=tp + fn + fp + tn, tp=tp, fn=fn, fp=fp, tn=tn)
+    return ConfusionCounts(tp=tp, fn=fn, fp=fp, tn=tn)
 
 
 # ── Report files ──────────────────────────────────────────────────────────
@@ -422,8 +406,8 @@ def emit_report(report: ExperimentReport, out_dir: str) -> None:
     report.td.save(os.path.join(out_dir, "training_data.csv"))
 
 
-def _episode_row(report: ExperimentReport, r: EpisodeRecord) -> list[str]:
-    cause = "|".join(report.schema.spec(i).name for i in sorted(r.true_cause))
+def _episode_row(schema: AttributeSchema, r: EpisodeRecord) -> list[str]:
+    cause = "|".join(schema.spec(i).name for i in sorted(r.true_cause))
     anomalies = ""
     outlier = ""
     nn = ""
@@ -460,28 +444,24 @@ def _write_episodes(report: ExperimentReport, path: str) -> None:
         w = csv.writer(fh)
         w.writerow(EPISODE_FIELDS)
         for r in report.records:
-            w.writerow(_episode_row(report, r))
+            w.writerow(_episode_row(report.td.schema, r))
 
 
 def _write_curve(report: ExperimentReport, path: str) -> None:
-    with_col = report.curve_with or []
-    without_col = report.curve_without or []
+    phase1 = [repr(rate) for rate in _windowed(report.records_of("phase1"))]
+    if report.baseline is None:
+        columns = [("", rate) for rate in phase1]
+    else:
+        columns = zip(phase1, (repr(rate) for rate in _windowed(report.baseline)))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window", "with_adkra", "without_adkra"])
-        for i in range(max(len(with_col), len(without_col))):
-            w.writerow(
-                [
-                    i + 1,
-                    repr(with_col[i]) if i < len(with_col) else "",
-                    repr(without_col[i]) if i < len(without_col) else "",
-                ]
-            )
+        for i, (with_rate, without_rate) in enumerate(columns, 1):
+            w.writerow([i, with_rate, without_rate])
 
 
 def _write_metrics(report: ExperimentReport, path: str) -> None:
     cfg = report.config
-    m = report.metrics
     lines = [
         "# gripping experiment metrics",
         f"kind: {cfg.kind}",
@@ -494,14 +474,7 @@ def _write_metrics(report: ExperimentReport, path: str) -> None:
         f"phase2_failures: {_opt(report.phase2_failures)}",
         f"baseline_phase1_failures: {_opt(report.baseline_phase1_failures)}",
         "",
-        *confusion_table(m),
-        "",
-        f"TP {m.tp}  FP {m.fp}  FN {m.fn}  TN {m.tn}  Obs {m.obs}",
-        f"TPR {format_rate(m.tpr)}   (TP / (TP+FN))",
-        f"FNR {format_rate(m.fnr)}   (FN / (TP+FN))",
-        f"Precision {format_rate(m.precision)}   (TP / (TP+FP))",
-        f"Accuracy {format_rate(m.accuracy)}   ((TP+TN) / Obs)",
-        f"Accuracy {format_rate(m.hit_accuracy)}   (TP / Obs, prediction-hit style)",
+        *rate_block(report.metrics),
         "",
         "# kb before",
         report.kb_before,
@@ -518,9 +491,8 @@ def _opt(v) -> str:
 
 def load_scored_events(episodes_csv: str) -> list[tuple[frozenset[str], str | None]]:
     """Rebuild scored events from an episodes.csv for metric recomputation."""
-    events = []
-    with open(episodes_csv, newline="") as fh:
-        reader = csv.DictReader(fh)
+
+    def rows(reader: csv.DictReader):
         if reader.fieldnames != EPISODE_FIELDS:
             raise HarnessError(f"{episodes_csv}: unexpected header {reader.fieldnames}")
         for row in reader:
@@ -529,11 +501,10 @@ def load_scored_events(episodes_csv: str) -> list[tuple[frozenset[str], str | No
                 raise HarnessError(
                     f"{episodes_csv}: line {reader.line_num} does not have {len(EPISODE_FIELDS)} fields"
                 )
-            if row["phase"] != "phase1" or row["outcome"] != FAILURE:
-                continue
-            cause = frozenset(x for x in row["true_cause"].split("|") if x)
-            attributed = row["outlier_attr"] or None
-            if not row["lv"]:
-                attributed = None
-            events.append((cause, attributed))
-    return events
+            yield row
+
+    with open(episodes_csv, newline="") as fh:
+        try:
+            return _scored_events(rows(csv.DictReader(fh)))
+        except UnicodeDecodeError as exc:
+            raise HarnessError(f"{episodes_csv}: {exc}") from None

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
 from . import defaults
 from .kb import KnowledgeBase, split_key
 from .pddl import Atom, DomainModel, ProblemInstance, parse_domain
-from .world import Scenario
+from .world import Scenario, pair_distance
 
 _KB_FLUENTS = (defaults.MINDIS, defaults.MAXDIS, defaults.MINHWANGLE, defaults.MAXHWANGLE)
 
@@ -45,20 +43,9 @@ def instantiate_problem(kb: KnowledgeBase, scenario: Scenario, domain: DomainMod
         }
     )
 
-    grip_pair = {
-        (scenario.grip_waypoint, scenario.cup_waypoint),
-        (scenario.cup_waypoint, scenario.grip_waypoint),
+    init_fluents = {
+        Atom("dist_to", (a, b)): pair_distance(scenario, a, b)[1] for a in wpnames for b in wpnames
     }
-    init_fluents: dict[Atom, float] = {}
-    for a in wpnames:
-        for b in wpnames:
-            if (a, b) in grip_pair:
-                d = scenario.sensed_distance
-            else:
-                ax, ay = scenario.waypoints[a]
-                bx, by = scenario.waypoints[b]
-                d = math.hypot(ax - bx, ay - by)
-            init_fluents[Atom("dist_to", (a, b))] = d
     init_fluents[Atom("hwangle", (defaults.ROBOT,))] = scenario.sensed_angle
     for key in _KB_FLUENTS:
         fname, fargs = split_key(key)

@@ -151,6 +151,20 @@ def generate_scenario(
     )
 
 
+def pair_distance(scenario: Scenario, a: str, b: str) -> tuple[float, float]:
+    """(true, sensed) distance between waypoints a and b.
+
+    The robot senses the grip pair; any other pair it reads off the map,
+    which is exact. The sensed value is what the planner is given.
+    """
+    grip, cup = scenario.grip_waypoint, scenario.cup_waypoint
+    if (a, b) in ((grip, cup), (cup, grip)):
+        return scenario.true_distance, scenario.sensed_distance
+    (ax, ay), (bx, by) = scenario.waypoints[a], scenario.waypoints[b]
+    d = math.hypot(ax - bx, ay - by)
+    return d, d
+
+
 # ── Execution ─────────────────────────────────────────────────────────────
 
 
@@ -165,7 +179,8 @@ def execute_plan(plan, scenario: Scenario, envelope: GroundTruthEnvelope, episod
     """Execute a plan against ground truth; report sensed values only.
 
     The outcome is decided by the true distance/angle at the grip step; the
-    observed vector carries the sensed values the robot planned with.
+    observed vector carries the sensed values the robot planned with, for the
+    pair it gripped from.
     """
     grip = None
     for step in plan.steps:
@@ -176,18 +191,10 @@ def execute_plan(plan, scenario: Scenario, envelope: GroundTruthEnvelope, episod
         observed = AttributeVector((scenario.sensed_distance, scenario.sensed_angle), SUCCESS, episode)
         return ExecutionFeedback(SUCCESS, observed, frozenset())
 
-    wp_robot, wp_cup = grip.args[2], grip.args[3]
-    if wp_robot == scenario.grip_waypoint and wp_cup == scenario.cup_waypoint:
-        true_d = scenario.true_distance
-    else:
-        ax, ay = scenario.waypoints[wp_robot]
-        bx, by = scenario.waypoints[wp_cup]
-        true_d = math.hypot(ax - bx, ay - by)
-    true_a = scenario.true_angle
-
-    cause = envelope.judge(true_d, true_a)
+    true_d, sensed_d = pair_distance(scenario, grip.args[2], grip.args[3])
+    cause = envelope.judge(true_d, scenario.true_angle)
     outcome = SUCCESS if not cause else FAILURE
-    observed = AttributeVector((scenario.sensed_distance, scenario.sensed_angle), outcome, episode)
+    observed = AttributeVector((sensed_d, scenario.sensed_angle), outcome, episode)
     return ExecutionFeedback(outcome, observed, cause)
 
 

@@ -9,7 +9,9 @@ import pytest
 
 import adkra
 from adkra.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from adkra.harness import ExperimentConfig, emit_report, run_experiment
 from adkra.pddl import parse_domain
+from test_golden_outputs import CASES
 
 DATA = pathlib.Path(__file__).parent / "data"
 DOMAIN = str(DATA / "nao.pddl")
@@ -40,8 +42,18 @@ def test_parse_missing_file_is_input_error(capsys):
 def test_parse_non_utf8_file_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.pddl"
     bad.write_bytes(b"\xff\xfe(define")
-    assert main(["parse", str(bad)]) == EXIT_INPUT
-    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "episodes.csv").write_bytes(b"\xff\xfe")
+    for argv, path in [
+        (["parse", str(bad)], bad),
+        (["parse", DOMAIN, str(bad)], bad),
+        (["plan", "--domain", DOMAIN, "--problem", str(bad)], bad),
+        (["metrics", "--in", str(run_dir)], run_dir / "episodes.csv"),
+    ]:
+        assert main(argv) == EXIT_INPUT, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff"), argv
 
 
 def test_parse_invalid_pddl_is_input_error(tmp_path, capsys):
@@ -212,3 +224,13 @@ def test_bad_experiment_configuration_is_input_error(flags, field, tmp_path, cap
     assert code == EXIT_INPUT, err
     assert err.startswith("error:") and field in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_metrics_prints_the_rate_block_of_metrics_txt(case, tmp_path, capsys):
+    emit_report(run_experiment(ExperimentConfig(**CASES[case])), str(tmp_path))
+    assert main(["metrics", "--in", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "metrics.txt").read_text().splitlines()
+    first = lines.index("Obs. TP FN Preci. Accu. FNR TPR")
+    last = max(i for i, line in enumerate(lines) if line.startswith("Accuracy "))
+    assert capsys.readouterr().out.splitlines() == lines[first : last + 1]

@@ -1,6 +1,5 @@
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,7 +52,8 @@ def test_default_faults_per_kind():
 
 
 def test_confusion_rates():
-    m = ConfusionCounts(obs=65, tp=61, fn=2, fp=2, tn=0)
+    m = ConfusionCounts(tp=61, fn=2, fp=2, tn=0)
+    assert m.obs == 65
     assert m.tpr == pytest.approx(61 / 63)
     assert m.fnr == pytest.approx(2 / 63)
     assert m.precision == pytest.approx(61 / 63)
@@ -122,8 +122,8 @@ def test_run_experiment_structure():
     assert len(report.records_of("phase2")) == 20
     assert report.warmup_count >= cfg.warmup_successes
     assert len(report.records) == report.warmup_count + 40
-    assert len(report.curve_with) == 2
-    assert len(report.curve_without) == 2
+    assert len(report.baseline) == 20
+    assert [r.episode for r in report.baseline] == [r.episode for r in report.records_of("phase1")]
     assert report.metrics.obs == report.phase1_failures
     assert report.kb_before != report.kb.effective_dump()  # a fault got repaired
     episodes = [r.episode for r in report.records]
@@ -136,8 +136,7 @@ def test_run_experiment_without_adkra():
     assert report.phase2_failures is None
     assert report.baseline_phase1_failures is None
     assert report.records_of("phase2") == []
-    assert report.curve_with is None
-    assert len(report.curve_without) == 2
+    assert report.baseline is None
     assert all(r.report is None for r in report.records_of("phase1"))
     assert report.kb_before == report.kb.effective_dump()
 
@@ -225,15 +224,17 @@ def test_counterfactual_equals_a_run_without_refinement(overrides):
     refined = run_experiment(ExperimentConfig(episodes=100, **overrides))
     static = run_experiment(ExperimentConfig(episodes=100, adkra_enabled=False, **overrides))
     assert refined.baseline_phase1_failures == static.phase1_failures
-    assert refined.curve_without == static.curve_without
+    static_phase1 = static.records_of("phase1")
+    assert [(r.episode, r.outcome) for r in refined.baseline] == [(r.episode, r.outcome) for r in static_phase1]
+    assert [r.scenario for r in refined.baseline] == [r.scenario for r in static_phase1]
 
 
 def test_runs_are_repeatable_in_process():
     cfg = ExperimentConfig(kind="distance", episodes=30, seed=7)
     a = run_experiment(cfg)
     b = run_experiment(cfg)
-    rows_a = [_episode_row(a, r) for r in a.records]
-    rows_b = [_episode_row(b, r) for r in b.records]
+    rows_a = [_episode_row(a.td.schema, r) for r in a.records]
+    rows_b = [_episode_row(b.td.schema, r) for r in b.records]
     assert rows_a == rows_b
     assert a.kb.effective_dump() == b.kb.effective_dump()
 
@@ -262,7 +263,12 @@ def test_emit_report_files(tmp_path):
 
     curve = (tmp_path / "failure_curve.csv").read_text().splitlines()
     assert curve[0] == "window,with_adkra,without_adkra"
-    assert len(curve) == 1 + len(report.curve_with)
+    assert curve[1:] == [
+        f"{i + 1},{with_rate!r},{without_rate!r}"
+        for i, (with_rate, without_rate) in enumerate(
+            zip(_windowed(report.records_of("phase1")), _windowed(report.baseline))
+        )
+    ]
 
 
 def test_scored_events_round_trip_through_csv(tmp_path):
@@ -270,8 +276,20 @@ def test_scored_events_round_trip_through_csv(tmp_path):
     report = run_experiment(cfg)
     emit_report(report, str(tmp_path))
     from_csv = load_scored_events(str(tmp_path / "episodes.csv"))
-    in_process = _scored_events(report.records_of("phase1"), report.schema)
+    rows = [dict(zip(EPISODE_FIELDS, _episode_row(report.td.schema, r))) for r in report.records]
+    in_process = _scored_events(rows)
+    assert len(in_process) == report.phase1_failures > 0
     assert from_csv == in_process
+    # attributed exactly when the reasoner learned a value from the outlier
+    from_reports = [
+        (
+            frozenset(report.td.schema.spec(i).name for i in r.true_cause),
+            r.report.outlier.attribute if r.report.lv is not None else None,
+        )
+        for r in report.records_of("phase1")
+        if r.outcome == FAILURE
+    ]
+    assert from_csv == from_reports
     assert compute_metrics(from_csv) == report.metrics
 
 
@@ -310,7 +328,7 @@ def _in_kb_final(v, tmp_path):
 
 def _in_episodes(v, tmp_path):
     record = EpisodeRecord(1, "phase1", None, FAILURE, frozenset(), StepReport(1, FAILURE, nn=v), "")
-    return _episode_row(SimpleNamespace(schema=defaults.GRIP_SCHEMA), record)[EPISODE_FIELDS.index("nn")]
+    return _episode_row(defaults.GRIP_SCHEMA, record)[EPISODE_FIELDS.index("nn")]
 
 
 @pytest.mark.parametrize("writer", [_in_problem, _in_kb_final, _in_episodes], ids=["problem", "kb_final", "episodes"])

@@ -65,9 +65,6 @@ ALLOWED = [
         "return candidates[-1]",
         "return candidates[0]",
     ]),
-    ("harness.py", "ExperimentReport.records_of", PERFBENCH, [
-        "def records_of(self, phase: str) -> list[EpisodeRecord]:",
-    ]),
     ("harness.py", "compute_metrics", "a failure without a true cause: the world never judges one, but"
      " adkra metrics counts it in a hand-written episodes.csv", ["tn += 1"]),
     ("kb.py", "ground_key", "runs only at import, where defaults.py builds the bound keys", [
@@ -153,6 +150,10 @@ def _surface(out: pathlib.Path) -> list[tuple[list[str], int]]:
     surface = [(argv + ["--out", str(out / f"run{i}")], EXIT_OK) for i, argv in enumerate(runs)]
     trailing = out / "trailing.pddl"
     trailing.write_text((DATA / "nao.pddl").read_text() + "extra\n")
+    not_utf8 = out / "not_utf8"
+    not_utf8.mkdir()
+    (not_utf8 / "episodes.csv").write_bytes(b"\xff")
+    (not_utf8 / "domain.pddl").write_bytes(b"\xff")
     surface += [
         (["metrics", "--in", str(out / f"run{len(runs) - 1}")], EXIT_OK),
         (["parse", DOMAIN], EXIT_OK),
@@ -161,6 +162,8 @@ def _surface(out: pathlib.Path) -> list[tuple[list[str], int]]:
         (["plan", "--domain", DOMAIN, "--problem", str(DATA / "grip_refined.pddl")], EXIT_OK),
         (["run", "--kind", "distance", "--fault", "maxdis=far", "--out", str(out / "usage")], EXIT_USAGE),
         (["parse", str(trailing)], EXIT_INPUT),
+        (["parse", str(not_utf8 / "domain.pddl")], EXIT_INPUT),
+        (["metrics", "--in", str(not_utf8)], EXIT_INPUT),
     ]
     return surface
 

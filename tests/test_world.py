@@ -6,7 +6,10 @@ import pytest
 
 from adkra import defaults
 from adkra.experience import FAILURE, SUCCESS
+from adkra.instantiate import default_domain, instantiate_problem
 from adkra.kb import KnowledgeBase
+from adkra.pddl import Atom
+from adkra.planner import find_plan
 from adkra.world import (
     GroundTruthEnvelope,
     Scenario,
@@ -183,3 +186,18 @@ def test_execute_plan_without_grip_is_a_noop_success(envelope):
     goto = SimpleNamespace(schema="goto", args=("nao", "wp0", "wp2"))
     fb = execute_plan(_plan(goto), _scenario(24.0, -10.0), envelope)
     assert fb.outcome == SUCCESS and fb.true_cause == frozenset()
+
+
+@pytest.mark.parametrize("maxdis, grip_from", [(23.0, "wp2"), (60.0, "wp0")])
+def test_execute_plan_reports_the_distance_the_planner_used(envelope, maxdis, grip_from):
+    # With a reach over 50 cm the robot grips straight from its start, wp0.
+    scen = _scenario(18.0, -10.0, sensed_d=17.4)
+    domain = default_domain()
+    problem = instantiate_problem(KnowledgeBase({**defaults.INITIAL_KB, defaults.MAXDIS: maxdis}), scen, domain)
+    plan = find_plan(domain, problem)
+    grip = plan.steps[-1]
+    assert grip.schema == "grip" and grip.args[2] == grip_from
+    fb = execute_plan(plan, scen, envelope)
+    planned = problem.init_fluents[Atom("dist_to", (grip_from, scen.cup_waypoint))]
+    assert fb.observed.values == (planned, -10.0)
+    assert planned == {"wp2": 17.4, "wp0": 50.0}[grip_from]
