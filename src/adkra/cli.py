@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=defaults.EXPERIMENT_KINDS)
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-adkra", action="store_true", help="disable refinement (baseline)")
     p.add_argument("--eta-distance", type=float)
     p.add_argument("--eta-angle", type=float)
     p.add_argument("--noise-sigma-distance", type=float, default=0.0)
@@ -138,7 +137,6 @@ def cmd_run(args) -> int:
     cfg = ExperimentConfig(
         kind=args.kind,
         episodes=args.episodes,
-        adkra_enabled=not args.no_adkra,
         faults=faults,
         seed=args.seed,
         eta_distance=args.eta_distance,
@@ -150,12 +148,11 @@ def cmd_run(args) -> int:
     report = run_experiment(cfg)
     emit_report(report, args.out)
 
-    print(f"kind {cfg.kind}  seed {cfg.seed}  adkra {'on' if cfg.adkra_enabled else 'off'}")
+    print(f"kind {cfg.kind}  seed {cfg.seed}  adkra on")
     print(f"warmup episodes: {report.warmup_count}")
     print(f"phase 1 failures: {report.phase1_failures} / {cfg.episodes}")
-    if cfg.adkra_enabled:
-        print(f"phase 2 failures: {report.phase2_failures} / {cfg.episodes}")
-        print(f"baseline phase 1 failures: {report.baseline_phase1_failures} / {cfg.episodes}")
+    print(f"phase 2 failures: {report.phase2_failures} / {cfg.episodes}")
+    print(f"baseline phase 1 failures: {report.baseline_phase1_failures} / {cfg.episodes}")
     print("\n".join(confusion_table(report.metrics)))
     print("final bounds:")
     print(report.kb.effective_dump())

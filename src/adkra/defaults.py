@@ -99,6 +99,17 @@ KIND_ANCHORS: dict[str, tuple[tuple[float, float], ...]] = {
     "group": FULL_ANCHORS,
 }
 
+# The world's true gripping window: a strict distance range (cm) and the range
+# (deg) the angle floor is clamped to, whose top is also the true angle ceiling.
+TRUE_DISTANCE_RANGE = (15.0, 23.0)
+TRUE_ANGLE_CLIP = (-25.0, 0.0)
+
+# Scenario waypoints: the robot starts 50 cm from the cup, the cup sits at the
+# origin, and the robot grips from the third, at the drawn distance.
+ROBOT_START = "wp0"
+CUP_WAYPOINT = "wp1"
+GRIP_WAYPOINT = "wp2"
+
 # Scenario shape per kind: which attribute varies and where the other is held.
 # The held angle for the distance kind sits safely inside every gate (exactly
 # 0 would fail the strict upper comparison and no plan would exist).

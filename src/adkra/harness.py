@@ -2,8 +2,8 @@
 
 One experiment = inject a fault into the KB, warm the success history up,
 run a scored refinement phase, then re-evaluate the refined KB on a fresh
-derived-seed draw. A counterfactual pass over the same phase-1 draws with
-refinement switched off fills the "without" column of the failure curve.
+derived-seed draw. A counterfactual pass over the same phase-1 draws without
+refinement is the static baseline: the "without" column of the failure curve.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class HarnessError(Exception):
 class ExperimentConfig:
     kind: str = "distance"
     episodes: int = 100
-    adkra_enabled: bool = True
     faults: dict[str, float] | None = None  # None picks the kind's default
     seed: int = 0
     eta_distance: float | None = None
@@ -188,13 +187,16 @@ class ExperimentReport:
 
     config: ExperimentConfig
     records: list[EpisodeRecord]
-    baseline: list[EpisodeRecord] | None  # phase 1 without refinement; None when refinement is off
-    kb_before: str
+    baseline: list[EpisodeRecord]  # phase 1 without refinement
     kb: KnowledgeBase
     td: TrainingData
 
     def records_of(self, phase: str) -> list[EpisodeRecord]:
         return [r for r in self.records if r.phase == phase]
+
+    @property
+    def kb_before(self) -> str:
+        return _build_kb(self.config).effective_dump()
 
     @property
     def warmup_count(self) -> int:
@@ -205,12 +207,12 @@ class ExperimentReport:
         return _failures(self.records_of("phase1"))
 
     @property
-    def phase2_failures(self) -> int | None:
-        return _failures(self.records_of("phase2")) if self.config.adkra_enabled else None
+    def phase2_failures(self) -> int:
+        return _failures(self.records_of("phase2"))
 
     @property
-    def baseline_phase1_failures(self) -> int | None:
-        return None if self.baseline is None else _failures(self.baseline)
+    def baseline_phase1_failures(self) -> int:
+        return _failures(self.baseline)
 
     @property
     def metrics(self) -> ConfusionCounts:
@@ -253,11 +255,11 @@ def _preseed(td: TrainingData, envelope: GroundTruthEnvelope, rng, k: int) -> No
     computed as ``Generator.uniform`` does (low + (high - low) * u): the
     values and the generator's final state equal k pairs of scalar draws.
     """
-    lo, hi = envelope.distance_range
+    lo, hi = defaults.TRUE_DISTANCE_RANGE
     u = rng.random(2 * k)
     d = (lo + (hi - lo) * u[0::2]).tolist()
     b = np.array([envelope.angle_bound(x) for x in d])
-    a = (b + (envelope.angle_clip[1] - b) * u[1::2]).tolist()
+    a = (b + (defaults.TRUE_ANGLE_CLIP[1] - b) * u[1::2]).tolist()
     td.extend(AttributeVector(pair, SUCCESS, 0) for pair in zip(d, a))
 
 
@@ -331,7 +333,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     kb = _build_kb(cfg)
     td = TrainingData(schema)
     rng = np.random.default_rng(cfg.seed)
-    kb_before = kb.effective_dump()
 
     records: list[EpisodeRecord] = []
     if cfg.preseed_td > 0:
@@ -341,17 +342,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     first = len(records) + 1
     after_warmup = copy.deepcopy(rng)
 
-    records += run_phase("phase1", first, rng, kb, td, "learn" if cfg.adkra_enabled else "record")
-    baseline = None
-    if cfg.adkra_enabled:
-        rng2 = np.random.default_rng([cfg.seed, 2])
-        records += run_phase("phase2", first + cfg.episodes, rng2, kb, td, "frozen")
-        # The counterfactual phase 1 starts from the generator as it stood after
-        # the preseed or warm-up. Nothing else needs replaying: record mode never
-        # writes the KB and never reads the history, so a fresh KB and an empty
-        # history replay the same episodes.
-        baseline = run_phase("phase1", first, after_warmup, _build_kb(cfg), TrainingData(schema), "record")
-    return ExperimentReport(cfg, records, baseline, kb_before, kb, td)
+    records += run_phase("phase1", first, rng, kb, td, "learn")
+    rng2 = np.random.default_rng([cfg.seed, 2])
+    records += run_phase("phase2", first + cfg.episodes, rng2, kb, td, "frozen")
+    # The counterfactual phase 1 starts from the generator as it stood after
+    # the preseed or warm-up. Nothing else needs replaying: record mode never
+    # writes the KB and never reads the history, so a fresh KB and an empty
+    # history replay the same episodes.
+    baseline = run_phase("phase1", first, after_warmup, _build_kb(cfg), TrainingData(schema), "record")
+    return ExperimentReport(cfg, records, baseline, kb, td)
 
 
 def _windowed(records: list[EpisodeRecord], window: int = WINDOW) -> list[float]:
@@ -448,16 +447,12 @@ def _write_episodes(report: ExperimentReport, path: str) -> None:
 
 
 def _write_curve(report: ExperimentReport, path: str) -> None:
-    phase1 = [repr(rate) for rate in _windowed(report.records_of("phase1"))]
-    if report.baseline is None:
-        columns = [("", rate) for rate in phase1]
-    else:
-        columns = zip(phase1, (repr(rate) for rate in _windowed(report.baseline)))
+    columns = zip(_windowed(report.records_of("phase1")), _windowed(report.baseline))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window", "with_adkra", "without_adkra"])
         for i, (with_rate, without_rate) in enumerate(columns, 1):
-            w.writerow([i, with_rate, without_rate])
+            w.writerow([i, repr(with_rate), repr(without_rate)])
 
 
 def _write_metrics(report: ExperimentReport, path: str) -> None:
@@ -467,12 +462,12 @@ def _write_metrics(report: ExperimentReport, path: str) -> None:
         f"kind: {cfg.kind}",
         f"seed: {cfg.seed}",
         f"phase2_seed: [{cfg.seed}, 2]",
-        f"adkra: {'on' if cfg.adkra_enabled else 'off'}",
+        "adkra: on",
         f"episodes_per_phase: {cfg.episodes}",
         f"warmup_episodes: {report.warmup_count}",
         f"phase1_failures: {report.phase1_failures}",
-        f"phase2_failures: {_opt(report.phase2_failures)}",
-        f"baseline_phase1_failures: {_opt(report.baseline_phase1_failures)}",
+        f"phase2_failures: {report.phase2_failures}",
+        f"baseline_phase1_failures: {report.baseline_phase1_failures}",
         "",
         *rate_block(report.metrics),
         "",
@@ -483,10 +478,6 @@ def _write_metrics(report: ExperimentReport, path: str) -> None:
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _opt(v) -> str:
-    return "n/a" if v is None else str(v)
 
 
 def load_scored_events(episodes_csv: str) -> list[tuple[frozenset[str], str | None]]:

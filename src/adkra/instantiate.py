@@ -37,8 +37,8 @@ def instantiate_problem(kb: KnowledgeBase, scenario: Scenario, domain: DomainMod
 
     init_facts = frozenset(
         {
-            Atom("atrobby", (defaults.ROBOT, scenario.robot_start)),
-            Atom("pos", (defaults.OBJECT, scenario.cup_waypoint)),
+            Atom("atrobby", (defaults.ROBOT, defaults.ROBOT_START)),
+            Atom("pos", (defaults.OBJECT, defaults.CUP_WAYPOINT)),
             Atom("free", (defaults.ROBOT, defaults.GRIPPER)),
         }
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +31,11 @@ class GroundTruthEnvelope:
     """True gripping envelope: strict distance window plus an angle floor.
 
     The angle floor comes from a line through the anchor points, evaluated at
-    the grid-quantized distance (the real coupling is per-centimetre), then
-    clamped to the full angle range. A single anchor gives a flat floor.
+    the distance rounded half up to whole cm (the real coupling is per-cm),
+    then clamped to ``defaults.TRUE_ANGLE_CLIP``. A single anchor gives a flat floor.
     """
 
-    distance_range: tuple[float, float] = (15.0, 23.0)
     angle_anchors: tuple[tuple[float, float], ...] = defaults.FULL_ANCHORS
-    angle_clip: tuple[float, float] = (-25.0, 0.0)
-    grid: float = 1.0
 
     @functools.cached_property
     def _floor_line(self) -> tuple[float, float, float | None]:
@@ -48,19 +45,19 @@ class GroundTruthEnvelope:
         return d0, a0, None if len(anchors) == 1 else (a1 - a0) / (d1 - d0)
 
     def angle_bound(self, distance: float) -> float:
-        d = math.floor(distance / self.grid + 0.5) * self.grid
+        d = math.floor(distance + 0.5)
         d0, a0, slope = self._floor_line
         raw = a0 if slope is None else a0 + slope * (d - d0)
-        lo, hi = self.angle_clip
+        lo, hi = defaults.TRUE_ANGLE_CLIP
         return min(max(raw, lo), hi)
 
     def judge(self, true_distance: float, true_angle: float) -> frozenset[int]:
         """Return the set of attribute indices whose true test failed (empty = success)."""
-        lo, hi = self.distance_range
+        lo, hi = defaults.TRUE_DISTANCE_RANGE
         if not (lo < true_distance < hi):
             # distance fails first; the angle bound is undefined out of range
             return frozenset({defaults.DISTANCE})
-        if not (self.angle_bound(true_distance) < true_angle <= self.angle_clip[1]):
+        if not (self.angle_bound(true_distance) < true_angle <= defaults.TRUE_ANGLE_CLIP[1]):
             return frozenset({defaults.ANGLE})
         return frozenset()
 
@@ -89,10 +86,7 @@ class Scenario:
     true_angle: float
     sensed_distance: float
     sensed_angle: float
-    waypoints: dict[str, tuple[float, float]] = field(default_factory=dict)
-    robot_start: str = "wp0"
-    cup_waypoint: str = "wp1"
-    grip_waypoint: str = "wp2"
+    waypoints: dict[str, tuple[float, float]]
 
 
 def generate_scenario(
@@ -146,8 +140,11 @@ def generate_scenario(
         true_angle=true_a,
         sensed_distance=sensed_d,
         sensed_angle=sensed_a,
-        # The cup sits at the origin, the grip waypoint at the true distance, the start far away.
-        waypoints={"wp0": (-50.0, 0.0), "wp1": (0.0, 0.0), "wp2": (true_d, 0.0)},
+        waypoints={
+            defaults.ROBOT_START: (-50.0, 0.0),
+            defaults.CUP_WAYPOINT: (0.0, 0.0),
+            defaults.GRIP_WAYPOINT: (true_d, 0.0),
+        },
     )
 
 
@@ -157,8 +154,7 @@ def pair_distance(scenario: Scenario, a: str, b: str) -> tuple[float, float]:
     The robot senses the grip pair; any other pair it reads off the map,
     which is exact. The sensed value is what the planner is given.
     """
-    grip, cup = scenario.grip_waypoint, scenario.cup_waypoint
-    if (a, b) in ((grip, cup), (cup, grip)):
+    if {a, b} == {defaults.GRIP_WAYPOINT, defaults.CUP_WAYPOINT}:
         return scenario.true_distance, scenario.sensed_distance
     (ax, ay), (bx, by) = scenario.waypoints[a], scenario.waypoints[b]
     d = math.hypot(ax - bx, ay - by)
@@ -180,17 +176,10 @@ def execute_plan(plan, scenario: Scenario, envelope: GroundTruthEnvelope, episod
 
     The outcome is decided by the true distance/angle at the grip step; the
     observed vector carries the sensed values the robot planned with, for the
-    pair it gripped from.
+    pair it gripped from. Every plan grips: an instantiated problem never
+    starts out holding its goal, ``carry``.
     """
-    grip = None
-    for step in plan.steps:
-        if step.schema == "grip":
-            grip = step
-            break
-    if grip is None:
-        observed = AttributeVector((scenario.sensed_distance, scenario.sensed_angle), SUCCESS, episode)
-        return ExecutionFeedback(SUCCESS, observed, frozenset())
-
+    grip = next(step for step in plan.steps if step.schema == "grip")
     true_d, sensed_d = pair_distance(scenario, grip.args[2], grip.args[3])
     cause = envelope.judge(true_d, scenario.true_angle)
     outcome = SUCCESS if not cause else FAILURE
@@ -230,8 +219,8 @@ def save_scenarios(path: str, scenarios: list[Scenario]) -> None:
                     repr(s.true_angle),
                     repr(s.sensed_distance),
                     repr(s.sensed_angle),
-                    s.robot_start,
-                    s.cup_waypoint,
-                    s.grip_waypoint,
+                    defaults.ROBOT_START,
+                    defaults.CUP_WAYPOINT,
+                    defaults.GRIP_WAYPOINT,
                 ]
             )

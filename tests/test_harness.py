@@ -16,7 +16,9 @@ from adkra.harness import (
     _build_schema,
     _episode_row,
     _preseed,
+    _run_episode,
     _scored_events,
+    _warmup,
     _windowed,
     compute_metrics,
     emit_report,
@@ -24,6 +26,7 @@ from adkra.harness import (
     load_scored_events,
     run_experiment,
 )
+from adkra.instantiate import default_domain
 from adkra.kb import KnowledgeBase
 from adkra.pddl import Atom, ProblemInstance, print_problem
 from adkra.reasoner import StepReport
@@ -130,17 +133,6 @@ def test_run_experiment_structure():
     assert episodes == list(range(1, len(report.records) + 1))
 
 
-def test_run_experiment_without_adkra():
-    cfg = ExperimentConfig(kind="distance", episodes=20, seed=7, adkra_enabled=False)
-    report = run_experiment(cfg)
-    assert report.phase2_failures is None
-    assert report.baseline_phase1_failures is None
-    assert report.records_of("phase2") == []
-    assert report.baseline is None
-    assert all(r.report is None for r in report.records_of("phase1"))
-    assert report.kb_before == report.kb.effective_dump()
-
-
 def test_preseed_skips_warmup():
     cfg = ExperimentConfig(kind="distance", episodes=5, seed=1, preseed_td=25)
     report = run_experiment(cfg)
@@ -150,11 +142,11 @@ def test_preseed_skips_warmup():
 
 
 def _scalar_preseed(envelope, rng, k):
-    lo, hi = envelope.distance_range
+    lo, hi = defaults.TRUE_DISTANCE_RANGE
     rows = []
     for _ in range(k):
         d = float(rng.uniform(lo, hi))
-        rows.append((d, float(rng.uniform(envelope.angle_bound(d), envelope.angle_clip[1]))))
+        rows.append((d, float(rng.uniform(envelope.angle_bound(d), defaults.TRUE_ANGLE_CLIP[1]))))
     return rows
 
 
@@ -219,14 +211,28 @@ def test_warmup_stall_raises():
     ids=["distance", "angle", "collective", "group", "group-noisy-preseeded"],
 )
 def test_counterfactual_equals_a_run_without_refinement(overrides):
-    # The run without refinement does its own warm-up, so this does not rely
-    # on the generator snapshot the counterfactual starts from.
-    refined = run_experiment(ExperimentConfig(episodes=100, **overrides))
-    static = run_experiment(ExperimentConfig(episodes=100, adkra_enabled=False, **overrides))
-    assert refined.baseline_phase1_failures == static.phase1_failures
-    static_phase1 = static.records_of("phase1")
-    assert [(r.episode, r.outcome) for r in refined.baseline] == [(r.episode, r.outcome) for r in static_phase1]
-    assert [r.scenario for r in refined.baseline] == [r.scenario for r in static_phase1]
+    cfg = ExperimentConfig(episodes=100, **overrides)
+    refined = run_experiment(cfg)
+    # The run without refinement, from the harness's pieces: it does its own
+    # preseed or warm-up from a fresh generator, so this does not rely on the
+    # generator snapshot the counterfactual starts from.
+    schema, kb = _build_schema(cfg), _build_kb(cfg)
+    td = TrainingData(schema)
+    envelope = GroundTruthEnvelope(angle_anchors=defaults.KIND_ANCHORS[cfg.kind])
+    domain = default_domain()
+    rng = np.random.default_rng(cfg.seed)
+    warmup = []
+    if cfg.preseed_td > 0:
+        _preseed(td, envelope, rng, cfg.preseed_td)
+    else:
+        warmup = _warmup(cfg, rng, kb, td, envelope, domain)
+    static = [
+        _run_episode(len(warmup) + 1 + i, "phase1", cfg, rng, kb, td, envelope, domain, "record")
+        for i in range(cfg.episodes)
+    ]
+    assert refined.baseline_phase1_failures == sum(r.outcome == FAILURE for r in static)
+    assert [(r.episode, r.outcome) for r in refined.baseline] == [(r.episode, r.outcome) for r in static]
+    assert [r.scenario for r in refined.baseline] == [r.scenario for r in static]
 
 
 def test_runs_are_repeatable_in_process():

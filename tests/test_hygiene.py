@@ -148,3 +148,52 @@ def test_every_dataclass_field_is_read():
         and stmt.target.id not in loaded
     ]
     assert unread == []
+
+
+
+def test_every_defaulted_dataclass_field_is_set_somewhere():
+    """A field with a default that nothing overrides is a constant.
+
+    Code anywhere in the package, the tests or the benchmark overrides a
+    field when it passes it to its class (by keyword or by position) or to
+    ``dataclasses.replace``, calls its class with a ``**`` expansion, or
+    stores it as an attribute (as ``StepReport`` is filled in). A default
+    built by ``default_factory`` is also overridden when a method is called
+    on the field, which fills it in place (as ``StepReport.confirmed``).
+    """
+    fields = {
+        node.name: [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        for tree in MODULES.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+    }
+    set_fields: set[tuple[str | None, str]] = set()  # (class, field); class None matches any class
+    filled: set[str] = set()  # fields a method is called on
+    paths = sorted(SRC.glob("*.py")) + sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    for path in paths + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                set_fields.add((None, node.attr))
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Attribute):
+                filled.add(node.func.value.attr)
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if callee == "replace":
+                set_fields |= {(None, kw.arg) for kw in node.keywords if kw.arg}
+            elif callee in fields:
+                names = [stmt.target.id for stmt in fields[callee]]
+                if any(kw.arg is None for kw in node.keywords):
+                    set_fields |= {(callee, name) for name in names}
+                set_fields |= {(callee, kw.arg) for kw in node.keywords}
+                set_fields |= {(callee, name) for name in names[: len(node.args)]}
+    never_set = []
+    for cls, stmts in fields.items():
+        for stmt in stmts:
+            name = stmt.target.id
+            if stmt.value is None or {(cls, name), (None, name)} & set_fields:
+                continue
+            if name in filled and "default_factory" in ast.unparse(stmt.value):
+                continue
+            never_set.append(f"{cls}.{name}")
+    assert never_set == []

@@ -134,7 +134,7 @@ def test_scenario_geometry(kb):
     assert s.waypoints["wp1"] == (0.0, 0.0)
     assert s.waypoints["wp0"] == (-50.0, 0.0)
     assert s.waypoints["wp2"] == (s.true_distance, 0.0)
-    assert s.robot_start == "wp0" and s.cup_waypoint == "wp1" and s.grip_waypoint == "wp2"
+    assert (defaults.ROBOT_START, defaults.CUP_WAYPOINT, defaults.GRIP_WAYPOINT) == ("wp0", "wp1", "wp2")
 
 
 def _scenario(true_d, true_a, sensed_d=None, sensed_a=None):
@@ -182,12 +182,6 @@ def test_execute_plan_geometric_distance_for_other_waypoints(envelope):
     assert math.hypot(-50.0, 0.0) == 50.0
 
 
-def test_execute_plan_without_grip_is_a_noop_success(envelope):
-    goto = SimpleNamespace(schema="goto", args=("nao", "wp0", "wp2"))
-    fb = execute_plan(_plan(goto), _scenario(24.0, -10.0), envelope)
-    assert fb.outcome == SUCCESS and fb.true_cause == frozenset()
-
-
 @pytest.mark.parametrize("maxdis, grip_from", [(23.0, "wp2"), (60.0, "wp0")])
 def test_execute_plan_reports_the_distance_the_planner_used(envelope, maxdis, grip_from):
     # With a reach over 50 cm the robot grips straight from its start, wp0.
@@ -198,6 +192,6 @@ def test_execute_plan_reports_the_distance_the_planner_used(envelope, maxdis, gr
     grip = plan.steps[-1]
     assert grip.schema == "grip" and grip.args[2] == grip_from
     fb = execute_plan(plan, scen, envelope)
-    planned = problem.init_fluents[Atom("dist_to", (grip_from, scen.cup_waypoint))]
+    planned = problem.init_fluents[Atom("dist_to", (grip_from, defaults.CUP_WAYPOINT))]
     assert fb.observed.values == (planned, -10.0)
     assert planned == {"wp2": 17.4, "wp0": 50.0}[grip_from]
