@@ -515,10 +515,16 @@ def _signature(d: DomainModel, atom: Atom, kind: str, where: str) -> PredicateSc
 
 
 def _check_use(d: DomainModel, atom: Atom, kind: str, declared: dict[str, str], where: str) -> None:
-    _signature(d, atom, kind, where)
-    for arg in atom.args:
+    """Check an action's atom: its declaration and arity, and each variable's declaration and type.
+
+    A variable of the wrong type could never bind an object the atom accepts.
+    """
+    sig = _signature(d, atom, kind, where)
+    for arg, (_, t) in zip(atom.args, sig.params):
         if arg.startswith("?") and arg not in declared:
             raise PddlSemanticError(f"undeclared variable {arg} in {where}")
+        if arg.startswith("?") and declared[arg] != t:
+            raise PddlSemanticError(f"variable {arg} has type {declared[arg]}, {atom.name} wants {t} in {where}")
 
 
 def _canonicalise_functions(d: DomainModel) -> DomainModel:
@@ -621,7 +627,7 @@ def validate_problem(domain: DomainModel, problem: ProblemInstance) -> None:
 
     # Every fluent any grounded precondition can reference must be assigned.
     for action in domain.actions:
-        pools = {v: [n for n, t in problem.objects if t == typ] for v, typ in action.params}
+        pools = dict(zip([v for v, _t in action.params], binding_pools(action.params, problem.objects)))
         sides = [side for c in action.precondition.comparisons for side in (c.lhs, c.rhs)]
         # Most actions have every grounding of every side assigned: check that
         # in bulk, over each argument's objects (a superset when a variable
@@ -641,14 +647,19 @@ def validate_problem(domain: DomainModel, problem: ProblemInstance) -> None:
 # ── Grounding helpers ─────────────────────────────────────────────────────
 
 
+def binding_pools(params: tuple[tuple[str, str], ...], objects: tuple[tuple[str, str], ...]) -> list[list[str]]:
+    """Each parameter's objects of its type, in declaration order.
+
+    Their ``itertools.product`` is every type-correct binding, in the order
+    grounding and the unassigned-fluent walk both visit them.
+    """
+    return [[n for n, t in objects if t == typ] for _v, typ in params]
+
+
 def iter_bindings(params: tuple[tuple[str, str], ...], objects: tuple[tuple[str, str], ...]):
-    """Yield every type-correct variable binding over the given objects."""
-    pools = []
-    for _, typ in params:
-        pool = [n for n, t in objects if t == typ]
-        pools.append(pool)
+    """Yield every type-correct variable binding over the given objects, as a dict."""
     names = [v for v, _ in params]
-    for combo in itertools.product(*pools):
+    for combo in itertools.product(*binding_pools(params, objects)):
         yield dict(zip(names, combo))
 
 

@@ -63,6 +63,14 @@ def test_parse_invalid_pddl_is_input_error(tmp_path, capsys):
     assert "type hierarchy" in capsys.readouterr().err
 
 
+def test_mistyped_action_variable_is_input_error(tmp_path, capsys):
+    # (atrobby ?from ?r) could never match an :init fact, so goto would never apply.
+    bad = tmp_path / "bad.pddl"
+    bad.write_text(pathlib.Path(DOMAIN).read_text().replace("(and (atrobby ?r ?from))", "(and (atrobby ?from ?r))"))
+    assert main(["parse", str(bad)]) == EXIT_INPUT
+    assert "variable ?from has type waypoint, atrobby wants robot in goto" in capsys.readouterr().err
+
+
 def test_plan_prints_timed_steps(capsys):
     assert main(["plan", "--domain", DOMAIN, "--problem", FAULTY]) == EXIT_OK
     out = capsys.readouterr().out

@@ -188,16 +188,21 @@ def _random_domain(rng: random.Random) -> DomainModel:
         preds.append(PredicateSchema(f"p{i}", params))
     actions = []
     for i in range(rng.randint(1, 3)):
-        params = tuple((f"?a{j}", rng.choice(types)) for j in range(rng.randint(1, 3)))
-        names = [v for v, _ in params]
+        # Each argument is a parameter of its type (parse_domain rejects the
+        # rest), so only predicates whose argument types the parameters cover
+        # are usable; parameters are drawn until some predicate is.
+        usable: list[PredicateSchema] = []
+        while not usable:
+            params = tuple((f"?a{j}", rng.choice(types)) for j in range(rng.randint(1, 3)))
+            usable = [ps for ps in preds if {t for _a, t in ps.params} <= {pt for _v, pt in params}]
 
         def atom_of(ps):
-            return Atom(ps.name, tuple(rng.choice(names) for _ in ps.params))
+            return Atom(ps.name, tuple(rng.choice([v for v, pt in params if pt == t]) for _a, t in ps.params))
 
-        pre = Precondition(tuple(atom_of(rng.choice(preds)) for _ in range(rng.randint(0, 3))), ())
+        pre = Precondition(tuple(atom_of(rng.choice(usable)) for _ in range(rng.randint(0, 3))), ())
         eff = Effect(
-            tuple(atom_of(rng.choice(preds)) for _ in range(rng.randint(1, 2))),
-            tuple(atom_of(rng.choice(preds)) for _ in range(rng.randint(0, 2))),
+            tuple(atom_of(rng.choice(usable)) for _ in range(rng.randint(1, 2))),
+            tuple(atom_of(rng.choice(usable)) for _ in range(rng.randint(0, 2))),
         )
         actions.append(ActionSchema(f"act{i}", params, pre, eff))
     return DomainModel(
@@ -412,6 +417,9 @@ _ERROR_CASES = [
     ("pre-arity", "domain", {"pre": "(and (p ?x ?y))"}, PddlSemanticError, "arity mismatch for p in a"),
     ("eff-arity", "domain", {"eff": "(not (q ?x))"}, PddlSemanticError, "arity mismatch for q in a"),
     ("cmp-arity", "domain", {"pre": "(and (< (f ?x ?y) (g ?x)))"}, PddlSemanticError, "arity mismatch for function f in a"),
+    ("pre-var-type", "domain", {"pre": "(and (p ?y))"}, PddlSemanticError, "variable ?y has type u, p wants t in a"),
+    ("eff-var-type", "domain", {"eff": "(and (q ?y ?x))"}, PddlSemanticError, "variable ?y has type u, q wants t in a"),
+    ("cmp-var-type", "domain", {"pre": "(and (< (f ?x) (g ?y)))"}, PddlSemanticError, "variable ?y has type u, g wants t in a"),
     ("dup-pred", "domain", {"preds": "(p ?a - t) (p ?b - t)"}, PddlSemanticError, "duplicate predicate p"),
     ("fn-collision", "domain", {"fns": "(f-g ?a - t) (f_g ?a - t)"}, PddlSemanticError, "function name collision under -/_ folding: f_g"),
     ("pred-type", "domain", {"preds": "(p ?a - v)"}, PddlSemanticError, "undeclared type v in predicate p"),

@@ -19,6 +19,7 @@ from adkra.pddl import (
 )
 from adkra.planner import (
     DEFAULT_MAX_DEPTH,
+    GroundAction,
     NoPlanFound,
     Plan,
     find_plan,
@@ -380,3 +381,169 @@ def test_plan_length_matches_graph_shortest_path():
             plan = find_plan(WALK_DOMAIN, problem)
             assert len(plan) == expected
             assert validate_plan(WALK_DOMAIN, problem, plan)
+
+
+def _brute_force_grounding(domain, problem):
+    """Every binding, ground in full, filtered by ground_actions' three rules in their order, sorted by name."""
+    changed = {a.name for schema in domain.actions for a in schema.effect.adds + schema.effect.dels}
+    out = []
+    for schema in domain.actions:
+        for binding in iter_bindings(schema.params, problem.objects):
+            atoms = tuple(ground_atom(a, binding) for a in schema.precondition.atoms)
+            if any(a.name not in changed and a not in problem.init_facts for a in atoms):
+                continue
+            failed = False
+            for c in schema.precondition.comparisons:
+                lhs, rhs = ground_atom(c.lhs, binding), ground_atom(c.rhs, binding)
+                for term in (lhs, rhs):
+                    if term not in problem.init_fluents:
+                        raise EvaluationError(f"unresolvable fluent: {term.render()}")
+                if not _OPS[c.op](problem.init_fluents[lhs], problem.init_fluents[rhs]):
+                    failed = True
+                    break
+            if failed:
+                continue
+            adds = tuple(ground_atom(a, binding) for a in schema.effect.adds)
+            dels = tuple(ground_atom(a, binding) for a in schema.effect.dels)
+            if set(dels) <= set(adds) <= set(atoms):
+                continue
+            args = tuple(binding[v] for v, _t in schema.params)
+            out.append(GroundAction(schema.name, args, atoms, Effect(adds, dels)))
+    return sorted(out, key=lambda ga: ga.name)
+
+
+def _grounding_or_error(ground, domain, problem):
+    try:
+        return ground(domain, problem)
+    except EvaluationError as err:
+        return str(err)
+
+
+def _random_roads_problem(rng: random.Random) -> ProblemInstance:
+    places = [f"p{i}" for i in range(rng.randint(2, 5))]
+    trucks = [f"t{i}" for i in range(rng.randint(1, 3))]
+    objects = [(p, "place") for p in places] + [(t, "truck") for t in trucks]
+    rng.shuffle(objects)
+    facts = {Atom("at", (t, rng.choice(places))) for t in trucks}
+    facts |= {Atom("road", (a, b)) for a in places for b in places if rng.random() < 0.5}
+    facts |= {Atom("depot", (p,)) for p in places if rng.random() < 0.6}
+    fluents = {Atom("length", (a, b)): float(rng.randint(0, 6)) for a in places for b in places}
+    fluents |= {Atom("range", (t,)): float(rng.randint(0, 8)) for t in trucks}
+    return ProblemInstance(
+        "r", "roads", tuple(objects), frozenset(facts), fluents, (Atom("stocked", (rng.choice(places),)),)
+    )
+
+
+def test_grounding_matches_brute_force_on_random_roads():
+    rng = random.Random(23)
+    sizes = []
+    for _ in range(200):
+        problem = _random_roads_problem(rng)
+        want = _brute_force_grounding(ROADS_DOMAIN, problem)
+        assert ground_actions(ROADS_DOMAIN, problem) == want
+        sizes.append(len(want))
+    assert min(sizes) == 0 and max(sizes) > 10
+
+
+# `hub` is a constant in two atoms and a function term; (link ?a ?a) repeats
+# a variable in a static atom; link and budget are static or fixed.
+HUB_DOMAIN = parse_domain(
+    """
+    (define (domain hubs)
+      (:requirements :strips :typing :fluents)
+      (:types node)
+      (:predicates (at ?n - node) (link ?a - node ?b - node) (seen ?n - node))
+      (:functions (cost ?a - node ?b - node) (budget ?n - node))
+      (:action hop
+        :parameters (?a - node ?b - node)
+        :precondition (and (at ?a) (link ?a ?b) (link ?b hub) (< (cost ?a ?b) (budget hub)))
+        :effect (and (at ?b) (seen ?b) (not (at ?a))))
+      (:action rest
+        :parameters (?a - node)
+        :precondition (and (at ?a) (link ?a ?a))
+        :effect (and (seen hub) (at ?a) (not (at ?a)))))
+    """
+)
+
+
+def test_grounding_matches_brute_force_with_constants_and_repeated_variables():
+    # Some problems leave a fluent unassigned (built directly, not parsed):
+    # both must then raise on the same first binding that reaches the gate.
+    rng = random.Random(31)
+    outcomes = {"actions": 0, "none": 0, "error": 0}
+    for _ in range(300):
+        nodes = ["hub"] + [f"n{i}" for i in range(rng.randint(1, 4))]
+        objects = [(n, "node") for n in nodes]
+        rng.shuffle(objects)
+        facts = {Atom("at", (rng.choice(nodes),))}
+        facts |= {Atom("link", (a, b)) for a in nodes for b in nodes if rng.random() < 0.4}
+        fluents = {Atom("cost", (a, b)): float(rng.randint(0, 5)) for a in nodes for b in nodes}
+        fluents[Atom("budget", ("hub",))] = float(rng.randint(0, 5))
+        if rng.random() < 0.2:
+            del fluents[rng.choice(sorted(fluents, key=lambda a: a.render()))]
+        problem = ProblemInstance("h", "hubs", tuple(objects), frozenset(facts), fluents, (Atom("seen", ("hub",)),))
+        want = _grounding_or_error(_brute_force_grounding, HUB_DOMAIN, problem)
+        assert _grounding_or_error(ground_actions, HUB_DOMAIN, problem) == want
+        outcomes["error" if isinstance(want, str) else "actions" if want else "none"] += 1
+    assert min(outcomes.values()) > 10, outcomes
+
+
+# roads plus two actions that no changed atom keys: `open` needs only a
+# static atom and `ring` needs nothing, so both are candidates in every state.
+FLEET_DOMAIN = parse_domain(
+    """
+    (define (domain fleet)
+      (:requirements :strips :typing :fluents)
+      (:types place truck)
+      (:predicates (at ?t - truck ?p - place) (road ?a - place ?b - place)
+                   (depot ?p - place) (stocked ?p - place) (open ?p - place) (alarm))
+      (:functions (length ?a - place ?b - place) (range ?t - truck))
+      (:action drive
+        :parameters (?t - truck ?a - place ?b - place)
+        :precondition (and (at ?t ?a) (road ?a ?b) (< (length ?a ?b) (range ?t)))
+        :effect (and (at ?t ?b) (not (at ?t ?a))))
+      (:action stock
+        :parameters (?t - truck ?p - place)
+        :precondition (and (at ?t ?p) (depot ?p) (open ?p))
+        :effect (and (stocked ?p)))
+      (:action open
+        :parameters (?p - place)
+        :precondition (and (depot ?p))
+        :effect (and (open ?p)))
+      (:action ring
+        :parameters ()
+        :precondition (and)
+        :effect (and (alarm))))
+    """
+)
+
+
+def test_indexed_search_plans_like_the_reference_with_several_trucks():
+    # Two or three trucks, so a state holds several `at` atoms that key
+    # actions; goals need driving, opening a depot, and sometimes the alarm.
+    rng = random.Random(17)
+    outcomes = {"plan": 0, "none": 0}
+    for _ in range(120):
+        places = [f"p{i}" for i in range(rng.randint(2, 4))]
+        trucks = [f"t{i}" for i in range(rng.randint(2, 3))]
+        objects = [(p, "place") for p in places] + [(t, "truck") for t in trucks]
+        rng.shuffle(objects)
+        facts = {Atom("at", (t, rng.choice(places))) for t in trucks}
+        facts |= {Atom("road", (a, b)) for a in places for b in places if a != b and rng.random() < 0.5}
+        depots = [p for p in places if rng.random() < 0.5]
+        facts |= {Atom("depot", (p,)) for p in depots}
+        fluents = {Atom("length", (a, b)): float(rng.randint(0, 6)) for a in places for b in places}
+        fluents |= {Atom("range", (t,)): float(rng.randint(2, 8)) for t in trucks}
+        goal = [Atom("stocked", (rng.choice(places),))] + [Atom("alarm", ())] * (rng.random() < 0.3)
+        problem = ProblemInstance("f", "fleet", tuple(objects), frozenset(facts), fluents, tuple(goal))
+        want = _reference_plan(FLEET_DOMAIN, problem)
+        if want is None:
+            outcomes["none"] += 1
+            with pytest.raises(NoPlanFound):
+                find_plan(FLEET_DOMAIN, problem)
+        else:
+            outcomes["plan"] += 1
+            plan = find_plan(FLEET_DOMAIN, problem)
+            assert _names(plan) == want
+            assert validate_plan(FLEET_DOMAIN, problem, plan)
+    assert min(outcomes.values()) > 30, outcomes
